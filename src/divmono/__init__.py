@@ -7,7 +7,6 @@ n-ranges to reproduce the obstruction tables.
 
 from .arith import (
     Factorization,
-    crt_pairwise,
     factorize,
     gl2_order,
     irred_count,
@@ -31,9 +30,8 @@ from .frobenius import (
     enumerate_b,
     enumerate_data,
     sigma,
-    sigma_mod,
 )
-from .gl2 import MatModN, char_poly, mat_mul, mat_pow, order_mod, order_naive
+from .gl2 import mat_mul, mat_pow, order_mod
 from .obstruction import (
     Classification,
     CurvePrimeReport,
@@ -59,16 +57,13 @@ __all__ = [
     "FrobeniusDatum",
     "ImageAssumption",
     "InputError",
-    "MatModN",
     "ScanReport",
     "SupersingularCheck",
     "Verdict",
     "WeierstrassCurve",
     "admissible_traces",
-    "char_poly",
     "corollary_threshold",
     "count_points",
-    "crt_pairwise",
     "daniels_t",
     "enumerate_b",
     "enumerate_data",
@@ -84,11 +79,9 @@ __all__ = [
     "mat_pow",
     "mobius",
     "order_mod",
-    "order_naive",
     "scan",
     "semistable_s",
     "sigma",
-    "sigma_mod",
     "supersingular_check",
     "test",
     "trace_of_frobenius",

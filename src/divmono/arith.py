@@ -1,4 +1,4 @@
-"""Exact integer utilities: factorization, Möbius, CRT, and the two
+"""Exact integer utilities: factorization, Möbius, and the two
 counting formulas (order of GL2(Z/nZ) and irreducible polynomials over F_p).
 
 Everything here is pure and runs on Python ints, so there is no overflow
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import ArithmeticBug, InputError
 
@@ -124,35 +124,3 @@ def irred_count(m: int, p: int) -> int:
         raise ArithmeticBug(f"irred_count({m}, {p}) came out nonpositive")
     return count
 
-
-def crt_pairwise(residues: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine (residue, modulus) pairs with pairwise coprime moduli into
-    the unique residue modulo their product.
-    """
-    if not residues:
-        return (0, 1)
-    if any(m < 1 for _, m in residues):
-        raise InputError("moduli must be positive")
-    residues = [(r % m, m) for r, m in residues]
-
-    def combine(acc: tuple[int, int], nxt: tuple[int, int]) -> tuple[int, int]:
-        r1, m1 = acc
-        r2, m2 = nxt
-        g, s, _ = _xgcd(m1, m2)
-        if g != 1:
-            raise InputError(f"moduli {m1} and {m2} are not coprime")
-        m = m1 * m2
-        # r1 + m1 * s * (r2 - r1) is r1 mod m1 and r2 mod m2
-        return ((r1 + m1 * s * (r2 - r1)) % m, m)
-
-    return reduce(combine, residues)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0

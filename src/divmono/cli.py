@@ -4,9 +4,7 @@ Subcommands: sigma, test, table, curve, supersingular, corollary.
 Output formats: text (default), csv, json. Exit codes: 0 success,
 2 invalid input, 3 internal arithmetic assertion failure.
 
-All configuration is via flags; the only recognized environment variable
-is DIVMONO_THREADS, which parallelizes table scans over rows (output
-order is deterministic either way).
+All configuration is via flags; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -15,9 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import curves, frobenius, obstruction
 from .errors import ArithmeticBug, InputError
@@ -43,21 +39,27 @@ def _verdict_row(v: Verdict) -> dict:
     }
 
 
-def _emit(out, command: str, inputs: dict, verdicts: list[Verdict],
-          fmt: str, text_lines: list[str]):
+def _verdict_fields(verdicts: list[Verdict]) -> dict:
+    return {"verdicts": [_verdict_row(v) for v in verdicts]}
+
+
+def _emit(out, fmt: str, command: str, inputs: dict, fields: dict,
+          text_lines: list[str]):
+    """Write one command's result. JSON is {schema_version, command,
+    inputs, **fields}; CSV writes the rows of fields["verdicts"], which
+    only the verdict commands accept."""
     if fmt == "text":
         out.write("\n".join(text_lines) + "\n")
     elif fmt == "csv":
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for v in verdicts:
-            writer.writerow(_verdict_row(v))
+        writer.writerows(fields["verdicts"])
     elif fmt == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "inputs": inputs,
-            "verdicts": [_verdict_row(v) for v in verdicts],
+            **fields,
         }
         json.dump(record, out, indent=2)
         out.write("\n")
@@ -72,31 +74,25 @@ def _mark(v: Verdict) -> str:
 
 
 def cmd_sigma(args, out) -> int:
-    datum = frobenius.FrobeniusDatum.create(args.p, args.a, args.b)
+    datum = frobenius.FrobeniusDatum(args.p, args.a, args.b)
     mat = frobenius.sigma(datum)
     inputs = {"p": args.p, "a": args.a, "b": args.b}
-    if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sigma",
-            "inputs": inputs,
-            "sigma": [list(mat[0]), list(mat[1])],
-            "delta_pi": datum.delta_pi,
-            "delta_end": datum.delta_end,
-            "delta_parity": datum.delta_parity,
-        }
-        json.dump(record, out, indent=2)
-        out.write("\n")
-    else:
-        out.write(f"sigma = [[{mat[0][0]}, {mat[0][1]}], [{mat[1][0]}, {mat[1][1]}]]\n")
-        out.write(f"p={datum.p} a_p={datum.a_p} b_p={datum.b_p} "
-                  f"delta_pi={datum.delta_pi} delta_end={datum.delta_end} "
-                  f"delta={datum.delta_parity}\n")
+    fields = {
+        "sigma": [list(mat[0]), list(mat[1])],
+        "delta_pi": datum.delta_pi,
+        "delta_end": datum.delta_end,
+        "delta_parity": datum.delta_parity,
+    }
+    lines = [f"sigma = [[{mat[0][0]}, {mat[0][1]}], [{mat[1][0]}, {mat[1][1]}]]",
+             f"p={datum.p} a_p={datum.a_p} b_p={datum.b_p} "
+             f"delta_pi={datum.delta_pi} delta_end={datum.delta_end} "
+             f"delta={datum.delta_parity}"]
+    _emit(out, args.format, "sigma", inputs, fields, lines)
     return 0
 
 
 def cmd_test(args, out) -> int:
-    datum = frobenius.FrobeniusDatum.create(args.p, args.a, args.b)
+    datum = frobenius.FrobeniusDatum(args.p, args.a, args.b)
     image = (ImageAssumption.INDEX2_SUBGROUP if args.image == "index2"
              else ImageAssumption.FULL_GL2)
     v = obstruction.test(datum, args.n, image)
@@ -105,44 +101,30 @@ def cmd_test(args, out) -> int:
     line = (f"p={v.p} a_p={v.a_p} b_p={v.b_p} n={v.n}: {v.classification.value} "
             f"(residue_degree={v.residue_degree} num_primes={v.num_primes} "
             f"irred_supply={v.irred_supply})")
-    _emit(out, "test", inputs, [v], args.format, [line])
+    _emit(out, args.format, "test", inputs, _verdict_fields([v]), [line])
     return 0
 
 
 def cmd_table(args, out) -> int:
-    data = frobenius.enumerate_data(args.p)
-    threads = int(os.environ.get("DIVMONO_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda d: obstruction.scan(d, args.n_max), data))
-    else:
-        reports = [obstruction.scan(d, args.n_max) for d in data]
-
+    reports = obstruction.full_table(args.p, args.n_max)
     inputs = {"p": args.p, "n_max": args.n_max}
     verdicts = [v for r in reports for v in r.obstructed]
     lines = [f"p={args.p} n<={args.n_max} (* marks entries that vanish under an index-2 image)"]
     for r in reports:
         entries = ", ".join(_mark(v) for v in r.obstructed)
         lines.append(f"a_p={r.datum.a_p} b_p={r.datum.b_p}: {entries}")
-    _emit(out, "table", inputs, verdicts, args.format, lines)
+    _emit(out, args.format, "table", inputs, _verdict_fields(verdicts), lines)
     return 0
 
 
 def _build_curve(args) -> curves.WeierstrassCurve:
     if args.family is not None:
-        if args.family == "daniels":
-            if args.t is None:
-                raise InputError("family daniels requires --t")
-            return curves.daniels_t(args.t)
-        if args.family == "semistable":
-            if args.s is None:
-                raise InputError("family semistable requires --s")
-            return curves.semistable_s(args.s)
-        if args.family == "uv":
-            if args.u is None or args.v is None:
-                raise InputError("family uv requires --u and --v")
-            return curves.uv(args.u, args.v)
-        raise InputError(f"unknown family {args.family!r}")
+        ctor, names = curves.FAMILIES[args.family]
+        params = [getattr(args, name) for name in names]
+        if None in params:
+            flags = " and ".join(f"--{name}" for name in names)
+            raise InputError(f"family {args.family} requires {flags}")
+        return ctor(*params)
     coeffs = (args.a1, args.a2, args.a3, args.a4, args.a6)
     if any(c is None for c in coeffs):
         raise InputError("supply either --family or all of --a1..--a6")
@@ -165,52 +147,40 @@ def cmd_curve(args, out) -> int:
             per_b = " ".join(
                 f"[b={v.b_p}: {v.classification.value}]" for v in r.verdicts)
             lines.append(f"p={r.p} a_p={r.a_p}: {r.status.value.upper()} {per_b}")
-    _emit(out, "curve", inputs, verdicts, args.format, lines)
+    _emit(out, args.format, "curve", inputs, _verdict_fields(verdicts), lines)
     return 0
 
 
 def cmd_supersingular(args, out) -> int:
     check = obstruction.supersingular_check(args.p)
-    if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "supersingular",
-            "inputs": {"p": args.p},
-            "orders": list(check.orders),
-            "num_primes_full": check.num_primes_full,
-            "irred_supply": check.irred_supply,
-            "obstructed": check.obstructed,
-        }
-        json.dump(record, out, indent=2)
-        out.write("\n")
-    else:
-        orders = ", ".join(str(o) for o in check.orders)
-        out.write(f"p={check.p} n={check.p + 1}: orders ({orders}); "
-                  f"{check.num_primes_full} primes vs {check.irred_supply} "
-                  f"irreducible quadratics; "
-                  f"{'obstructed' if check.obstructed else 'not obstructed'}\n")
+    fields = {
+        "orders": list(check.orders),
+        "num_primes_full": check.num_primes_full,
+        "irred_supply": check.irred_supply,
+        "obstructed": check.obstructed,
+    }
+    orders = ", ".join(str(o) for o in check.orders)
+    line = (f"p={check.p} n={check.p + 1}: orders ({orders}); "
+            f"{check.num_primes_full} primes vs {check.irred_supply} "
+            f"irreducible quadratics; "
+            f"{'obstructed' if check.obstructed else 'not obstructed'}")
+    _emit(out, args.format, "supersingular", {"p": args.p}, fields, [line])
     return 0
 
 
 def cmd_corollary(args, out) -> int:
     result = obstruction.corollary_threshold(args.index)
-    if args.format == "json":
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "corollary",
-            "inputs": {"index": args.index},
-            "prime": result.prime,
-            "exact_lhs": result.exact_lhs,
-            "irred_supply": result.irred_supply,
-            "bound_prime": result.bound_prime,
-        }
-        json.dump(record, out, indent=2)
-        out.write("\n")
-    else:
-        out.write(f"index={result.index}: first prime p={result.prime} "
-                  f"({result.exact_lhs} primes vs {result.irred_supply} "
-                  f"irreducible quadratics); "
-                  f"closed-form bound first holds at p={result.bound_prime}\n")
+    fields = {
+        "prime": result.prime,
+        "exact_lhs": result.exact_lhs,
+        "irred_supply": result.irred_supply,
+        "bound_prime": result.bound_prime,
+    }
+    line = (f"index={result.index}: first prime p={result.prime} "
+            f"({result.exact_lhs} primes vs {result.irred_supply} "
+            f"irreducible quadratics); "
+            f"closed-form bound first holds at p={result.bound_prime}")
+    _emit(out, args.format, "corollary", {"index": args.index}, fields, [line])
     return 0
 
 
@@ -247,11 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("curve", help="essential-divisor scan for a curve")
-    p.add_argument("--family", choices=("daniels", "semistable", "uv"))
-    p.add_argument("--t", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--v", type=int)
+    p.add_argument("--family", choices=curves.FAMILIES)
+    for name in dict.fromkeys(n for _, names in curves.FAMILIES.values() for n in names):
+        p.add_argument(f"--{name}", type=int)
     for name in ("a1", "a2", "a3", "a4", "a6"):
         p.add_argument(f"--{name}", type=int)
     p.add_argument("--n", type=int, required=True)

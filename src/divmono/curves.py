@@ -99,9 +99,10 @@ def uv(u: int, v: int) -> WeierstrassCurve:
     return WeierstrassCurve(0, v, u, 0, 0)
 
 
+# family name -> (constructor, parameter names); the CLI's --family choices
 FAMILIES = {
-    "daniels_t": (daniels_t, ("t",)),
-    "semistable_s": (semistable_s, ("s",)),
+    "daniels": (daniels_t, ("t",)),
+    "semistable": (semistable_s, ("s",)),
     "uv": (uv, ("u", "v")),
 }
 

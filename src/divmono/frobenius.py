@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .arith import is_prime
 from .errors import ArithmeticBug, InputError
-from .gl2 import MatModN
 
 
 @dataclass(frozen=True)
@@ -25,37 +24,40 @@ class FrobeniusDatum:
     delta_pi = a_p^2 - 4p is the discriminant of x^2 - a_p x + p;
     delta_end = delta_pi / b_p^2 is the discriminant of the endomorphism
     order; delta_parity is 0 or 1 according to delta_end mod 4.
+    Construction rejects an inadmissible datum with InputError.
     """
 
     p: int
     a_p: int
     b_p: int
-    delta_pi: int
-    delta_end: int
-    delta_parity: int
 
-    @classmethod
-    def create(cls, p: int, a_p: int, b_p: int) -> "FrobeniusDatum":
+    def __post_init__(self):
+        p, a_p, b_p = self.p, self.a_p, self.b_p
         if not is_prime(p):
             raise InputError(f"p = {p} is not prime")
         if a_p * a_p > 4 * p:
             raise InputError(f"Hasse bound violated: a_p^2 = {a_p * a_p} > 4p = {4 * p}")
         if b_p < 1:
             raise InputError(f"b_p must be positive, got {b_p}")
-        delta_pi = a_p * a_p - 4 * p
-        if delta_pi % (b_p * b_p) != 0:
-            raise InputError(f"b_p^2 = {b_p * b_p} does not divide {delta_pi}")
-        delta_end = delta_pi // (b_p * b_p)
-        if delta_end % 4 not in (0, 1):
+        if self.delta_pi % (b_p * b_p) != 0:
+            raise InputError(f"b_p^2 = {b_p * b_p} does not divide {self.delta_pi}")
+        if self.delta_parity not in (0, 1):
             raise InputError(
-                f"delta_end = {delta_end} is not 0 or 1 mod 4; "
+                f"delta_end = {self.delta_end} is not 0 or 1 mod 4; "
                 f"b_p = {b_p} is not an admissible index for (p, a_p) = ({p}, {a_p})"
             )
-        return cls(p, a_p, b_p, delta_pi, delta_end, delta_end % 4)
 
     @property
-    def is_supersingular(self) -> bool:
-        return self.a_p % self.p == 0
+    def delta_pi(self) -> int:
+        return self.a_p * self.a_p - 4 * self.p
+
+    @property
+    def delta_end(self) -> int:
+        return self.delta_pi // (self.b_p * self.b_p)
+
+    @property
+    def delta_parity(self) -> int:
+        return self.delta_end % 4
 
 
 def admissible_traces(p: int) -> list[int]:
@@ -64,10 +66,6 @@ def admissible_traces(p: int) -> list[int]:
         raise InputError(f"p = {p} is not prime")
     bound = math.isqrt(4 * p)
     return list(range(-bound, bound + 1))
-
-
-def is_supersingular_trace(p: int, a_p: int) -> bool:
-    return a_p % p == 0
 
 
 def enumerate_b(p: int, a_p: int) -> list[int]:
@@ -91,7 +89,7 @@ def enumerate_data(p: int) -> list[FrobeniusDatum]:
     by b_p ascending, positive trace before negative.
     """
     data = [
-        FrobeniusDatum.create(p, a, b)
+        FrobeniusDatum(p, a, b)
         for a in admissible_traces(p)
         for b in enumerate_b(p, a)
     ]
@@ -122,14 +120,3 @@ def sigma(datum: FrobeniusDatum) -> tuple[tuple[int, int], tuple[int, int]]:
         raise ArithmeticBug(f"Frobenius matrix has wrong char poly for {datum}")
     return mat
 
-
-def sigma_mod(datum: FrobeniusDatum, n: int) -> MatModN:
-    """sigma reduced modulo n; requires gcd(n, p) = 1 so the matrix is
-    invertible (its determinant is p).
-    """
-    if n < 2:
-        raise InputError(f"modulus must be >= 2, got {n}")
-    if math.gcd(n, datum.p) != 1:
-        raise InputError(f"n = {n} is not coprime to p = {datum.p}")
-    (s11, s12), (s21, s22) = sigma(datum)
-    return MatModN(s11, s12, s21, s22, n)

@@ -1,132 +1,73 @@
 """2x2 matrices over Z/nZ and element orders in GL2(Z/nZ).
 
-The order routine decomposes n into prime powers, finds the local order by
-the usual divisor-stripping trick starting from |GL2(Z/q^eZ)|, and takes
-the lcm. A naive iterate-until-identity version is kept as a cross-check
-oracle for the tests.
+A matrix mod m is a flat tuple (a, b, c, d) of ints in [0, m), standing for
+[[a, b], [c, d]]. Only this module knows that layout: order_mod takes an
+integral matrix ((a, b), (c, d)) as frobenius.sigma returns it. The order
+is found locally at each prime power q^e || n by the usual divisor-stripping
+trick starting from |GL2(Z/q^eZ)|, and the local orders combine by lcm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .arith import factorize, gl2_order
 from .errors import InputError
 
-
-@dataclass(frozen=True)
-class MatModN:
-    """2x2 integer matrix with entries reduced into [0, n).
-
-    Arbitrary integer entries are accepted and reduced on construction
-    (the Frobenius matrix has negative entries).
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"modulus must be >= 2, got {self.n}")
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.n)
-
-    @classmethod
-    def identity(cls, n: int) -> "MatModN":
-        return cls(1, 0, 0, 1, n)
-
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.n
-
-    def trace(self) -> int:
-        return (self.a + self.d) % self.n
-
-    def is_identity(self) -> bool:
-        return self.entries == (1 % self.n, 0, 0, 1 % self.n)
-
-    def is_invertible(self) -> bool:
-        return math.gcd(self.det(), self.n) == 1
-
-    def reduce_mod(self, m: int) -> "MatModN":
-        if self.n % m != 0:
-            raise InputError(f"{m} does not divide modulus {self.n}")
-        return MatModN(self.a, self.b, self.c, self.d, m)
+IDENTITY = (1, 0, 0, 1)
 
 
-def mat_mul(A: MatModN, B: MatModN) -> MatModN:
-    if A.n != B.n:
-        raise InputError(f"modulus mismatch: {A.n} vs {B.n}")
-    n = A.n
-    return MatModN(
-        A.a * B.a + A.b * B.c,
-        A.a * B.b + A.b * B.d,
-        A.c * B.a + A.d * B.c,
-        A.c * B.b + A.d * B.d,
-        n,
-    )
+def mat_mul(A: tuple, B: tuple, m: int) -> tuple:
+    """A * B mod m, entries reduced into [0, m)."""
+    a, b, c, d = A
+    e, f, g, h = B
+    return ((a * e + b * g) % m, (a * f + b * h) % m,
+            (c * e + d * g) % m, (c * f + d * h) % m)
 
 
-def mat_pow(M: MatModN, k: int) -> MatModN:
+def mat_pow(M: tuple, k: int, m: int) -> tuple:
+    """M^k mod m by repeated squaring, for m >= 2."""
     if k < 0:
         raise InputError("negative powers not supported")
-    result = MatModN.identity(M.n)
+    result = IDENTITY
     base = M
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = mat_mul(result, base, m)
+        base = mat_mul(base, base, m)
         k >>= 1
     return result
 
 
-def char_poly(M: MatModN) -> tuple[int, int]:
-    """(trace, det) of M, both mod n: the coefficients of x^2 - t x + d."""
-    return (M.trace(), M.det())
-
-
-def order_mod(M: MatModN) -> int:
-    """Least k >= 1 with M^k = I, for M invertible mod n.
+def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> int:
+    """Least k >= 1 with M^k = I mod n, for an integral matrix
+    M = ((a, b), (c, d)) that is invertible mod n.
 
     Computed locally at each prime power q^e || n and recombined by lcm.
     """
-    if not M.is_invertible():
+    if n < 2:
+        raise InputError(f"modulus must be >= 2, got {n}")
+    (a, b), (c, d) = M
+    det = a * d - b * c
+    if math.gcd(det, n) != 1:
         raise InputError(
-            f"matrix {M.entries} mod {M.n} is not invertible (det {M.det()})"
+            f"matrix {(a % n, b % n, c % n, d % n)} mod {n} is not invertible "
+            f"(det {det % n})"
         )
-    orders = [
-        _order_prime_power(M.reduce_mod(q**e), q, e)
-        for q, e in factorize(M.n).factors
-    ]
+    orders = []
+    for q, e in factorize(n).factors:
+        m = q**e
+        orders.append(_order_prime_power((a % m, b % m, c % m, d % m), q, e))
     return reduce(math.lcm, orders, 1)
 
 
-def order_naive(M: MatModN, cap: int | None = None) -> int:
-    """Order by direct iteration; test oracle for order_mod."""
-    if not M.is_invertible():
-        raise InputError("matrix not invertible")
-    if cap is None:
-        cap = gl2_order(M.n)
-    power = M
-    for k in range(1, cap + 1):
-        if power.is_identity():
-            return k
-        power = mat_mul(power, M)
-    raise InputError(f"no order found below cap {cap}")
-
-
 @lru_cache(maxsize=65536)
-def _order_prime_power(M: MatModN, q: int, e: int) -> int:
-    """Order of M in GL2(Z/q^eZ) by stripping primes from the group order."""
-    group_order = gl2_order(q**e)
+def _order_prime_power(M: tuple, q: int, e: int) -> int:
+    """Order of M, reduced mod q^e, in GL2(Z/q^eZ) by stripping primes
+    from the group order."""
+    m = q**e
+    group_order = gl2_order(m)
     # group order is q^(4e-3) (q-1)^2 (q+1), so its prime factors are q
     # together with those of q-1 and q+1
     prime_factors = {q}
@@ -134,6 +75,6 @@ def _order_prime_power(M: MatModN, q: int, e: int) -> int:
     prime_factors.update(p for p, _ in factorize(q + 1).factors)
     order = group_order
     for p in prime_factors:
-        while order % p == 0 and mat_pow(M, order // p).is_identity():
+        while order % p == 0 and mat_pow(M, order // p, m) == IDENTITY:
             order //= p
     return order

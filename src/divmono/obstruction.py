@@ -15,10 +15,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import gl2_order, irred_count, primes_up_to
+from .arith import gl2_order, irred_count, is_prime, primes_up_to
 from .curves import WeierstrassCurve, trace_of_frobenius
 from .errors import ArithmeticBug, InputError
-from .frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma_mod
+from .frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
 from .gl2 import order_mod
 
 
@@ -67,7 +67,7 @@ def test(
         raise InputError(f"n must be >= 2, got {n}")
     if math.gcd(n, datum.p) != 1:
         raise InputError(f"n = {n} is not coprime to p = {datum.p}")
-    ord_sigma = order_mod(sigma_mod(datum, n))
+    ord_sigma = order_mod(sigma(datum), n)
     full_degree = gl2_order(n)
     if full_degree % ord_sigma != 0:
         raise ArithmeticBug(f"order {ord_sigma} does not divide |GL2| for n={n}")
@@ -163,9 +163,7 @@ def supersingular_check(p: int) -> SupersingularCheck:
     if p <= 3:
         raise InputError(f"supersingular check requires p > 3, got {p}")
     bs = enumerate_b(p, 0)
-    orders = tuple(
-        order_mod(sigma_mod(FrobeniusDatum.create(p, 0, b), p + 1)) for b in bs
-    )
+    orders = tuple(order_mod(sigma(FrobeniusDatum(p, 0, b)), p + 1) for b in bs)
     supply = irred_count(2, p)
     num_primes = gl2_order(p + 1) // 2
     return SupersingularCheck(
@@ -214,8 +212,6 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
 
 
 def _next_prime(p: int) -> int:
-    from .arith import is_prime
-
     p += 1
     while not is_prime(p):
         p += 1
@@ -267,7 +263,7 @@ def essential_divisor_scan(
             continue
         a_p = trace_of_frobenius(curve, p)
         verdicts = tuple(
-            test(FrobeniusDatum.create(p, a_p, b), n, ImageAssumption.FULL_GL2)
+            test(FrobeniusDatum(p, a_p, b), n, ImageAssumption.FULL_GL2)
             for b in enumerate_b(p, a_p)
         )
         classes = {v.classification for v in verdicts}

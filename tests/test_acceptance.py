@@ -18,7 +18,7 @@ from divmono.arith import divisors, gl2_order, irred_count, primes_up_to
 from divmono.curves import WeierstrassCurve, daniels_t, semistable_s, trace_of_frobenius, uv
 from divmono.errors import InputError
 from divmono.frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
-from divmono.gl2 import MatModN, order_mod, order_naive
+from divmono.gl2 import order_mod
 from divmono.obstruction import (
     Classification,
     ImageAssumption,
@@ -30,6 +30,7 @@ from divmono.obstruction import (
 
 from golden_tables import GOLDEN, normalize
 from test_arith import brute_gl2_order
+from test_gl2 import order_naive
 
 
 def report(num, desc: str, ok: bool, detail: str = ""):
@@ -41,7 +42,7 @@ def report(num, desc: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_worked_example():
-    datum = FrobeniusDatum.create(2, 1, 1)
+    datum = FrobeniusDatum(2, 1, 1)
     start = time.perf_counter()
     v = obstruction_test(datum, 11, ImageAssumption.FULL_GL2)
     elapsed_ms = (time.perf_counter() - start) * 1000
@@ -152,11 +153,12 @@ def test_criterion_6_property_suites():
     checked = 0
     while checked < 1000:
         n = rng.randrange(2, 61)
-        m = MatModN(*(rng.randrange(n) for _ in range(4)), n)
-        if not m.is_invertible():
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        if math.gcd(a * d - b * c, n) != 1:
             continue
-        if order_mod(m) != order_naive(m):
-            failures.append(("order", m))
+        m = ((a, b), (c, d))
+        if order_mod(m, n) != order_naive(m, n):
+            failures.append(("order", m, n))
         checked += 1
 
     # Hasse bound on >= 500 randomized curves

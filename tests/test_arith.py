@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from divmono.arith import (
-    crt_pairwise,
     divisors,
     factorize,
     gl2_order,
@@ -100,35 +99,3 @@ class TestIrredCount:
         with pytest.raises(InputError):
             irred_count(2, 6)
 
-
-class TestCrt:
-    @pytest.mark.parametrize(
-        "pairs,expected",
-        [
-            ([(1, 2), (2, 3)], (5, 6)),
-            ([(0, 4), (0, 9)], (0, 36)),
-            ([(3, 5), (4, 7)], (18, 35)),
-        ],
-    )
-    def test_examples(self, pairs, expected):
-        assert crt_pairwise(pairs) == expected
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(InputError):
-            crt_pairwise([(1, 4), (3, 6)])
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=1000),
-                      st.sampled_from([2, 3, 5, 7, 11, 13])),
-            min_size=1,
-            max_size=4,
-            unique_by=lambda rm: rm[1],
-        )
-    )
-    def test_consistency(self, pairs):
-        r, mod = crt_pairwise(pairs)
-        assert mod == math.prod(m for _, m in pairs)
-        assert 0 <= r < mod
-        for res, m in pairs:
-            assert r % m == res % m

@@ -142,8 +142,8 @@ class TestSemistability:
 
 class TestFamilyConstructor:
     def test_named_families(self):
-        assert family("daniels_t", 1).coeffs() == (1, 0, 0, 0, 1)
-        assert family("semistable_s", 0).disc == -43
+        assert family("daniels", 1).coeffs() == (1, 0, 0, 0, 1)
+        assert family("semistable", 0).disc == -43
         assert family("uv", 1, 2).coeffs() == (0, 2, 1, 0, 0)
 
     def test_unknown_family(self):

@@ -22,36 +22,36 @@ INDEX2 = ImageAssumption.INDEX2_SUBGROUP
 
 class TestVerdicts:
     def test_worked_example(self):
-        v = verdict(FrobeniusDatum.create(2, 1, 1), 11, FULL)
+        v = verdict(FrobeniusDatum(2, 1, 1), 11, FULL)
         assert v.residue_degree == 10
         assert v.num_primes == 1320
         assert v.irred_supply == 99
         assert v.classification is Classification.OBSTRUCTION
 
     def test_red_entry(self):
-        d = FrobeniusDatum.create(2, 0, 1)
+        d = FrobeniusDatum(2, 0, 1)
         assert verdict(d, 5, FULL).classification is Classification.OBSTRUCTION_ONLY_FULL_IMAGE
         assert verdict(d, 5, INDEX2).classification is Classification.NO_OBSTRUCTION
 
     def test_absence(self):
-        v = verdict(FrobeniusDatum.create(2, 1, 1), 7, FULL)
+        v = verdict(FrobeniusDatum(2, 1, 1), 7, FULL)
         assert v.classification is Classification.NO_OBSTRUCTION
 
     def test_rejects_shared_factor(self):
         with pytest.raises(InputError):
-            verdict(FrobeniusDatum.create(3, 0, 1), 6, FULL)
+            verdict(FrobeniusDatum(3, 0, 1), 6, FULL)
 
     def test_residue_degree_divides_both_degrees(self):
         for n in range(3, 40, 2):
-            v_full = verdict(FrobeniusDatum.create(2, 1, 1), n, FULL)
-            v_half = verdict(FrobeniusDatum.create(2, 1, 1), n, INDEX2)
+            v_full = verdict(FrobeniusDatum(2, 1, 1), n, FULL)
+            v_half = verdict(FrobeniusDatum(2, 1, 1), n, INDEX2)
             assert gl2_order(n) % v_full.residue_degree == 0
             assert v_full.num_primes == 2 * v_half.num_primes
 
     def test_index2_obstruction_implies_full(self):
         for p in (2, 3, 5):
             for a in (-1, 0, 1):
-                d = FrobeniusDatum.create(p, a, 1)
+                d = FrobeniusDatum(p, a, 1)
                 for n in range(2, 100):
                     if n % p == 0:
                         continue
@@ -66,18 +66,18 @@ class TestVerdicts:
 
 class TestScan:
     def test_row_a2_1(self):
-        report = scan(FrobeniusDatum.create(2, 1, 1), 999)
+        report = scan(FrobeniusDatum(2, 1, 1), 999)
         assert report.entries() == ((11, Classification.OBSTRUCTION),)
 
     def test_row_a2_minus_1(self):
-        report = scan(FrobeniusDatum.create(2, -1, 1), 999)
+        report = scan(FrobeniusDatum(2, -1, 1), 999)
         assert [v.n for v in report.obstructed] == [11, 23]
 
     def test_empty_row(self):
-        assert scan(FrobeniusDatum.create(11, 3, 1), 999).obstructed == ()
+        assert scan(FrobeniusDatum(11, 3, 1), 999).obstructed == ()
 
     def test_only_coprime_increasing(self):
-        report = scan(FrobeniusDatum.create(3, 0, 1), 400)
+        report = scan(FrobeniusDatum(3, 0, 1), 400)
         ns = [v.n for v in report.obstructed]
         assert ns == sorted(ns)
         assert all(n % 3 != 0 and n >= 2 for n in ns)
