@@ -9,38 +9,15 @@ to worry about; trial division is plenty at the scale of the scans
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArithmeticBug, InputError
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A positive integer with its canonical prime factorization.
-
-    ``factors`` is a tuple of (prime, exponent) pairs in strictly
-    increasing prime order; empty for value 1.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if e < 1 or p <= prev:
-                raise ArithmeticBug(f"malformed factorization of {self.value}")
-            prev = p
-            prod *= p**e
-        if prod != self.value:
-            raise ArithmeticBug(f"factorization does not multiply back to {self.value}")
-
-
 @lru_cache(maxsize=None)
-def factorize(m: int) -> Factorization:
-    """Trial-division factorization of m >= 1."""
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization of m >= 1: the (prime, exponent) pairs
+    in increasing prime order, empty for m = 1."""
     if m < 1:
         raise InputError(f"factorize requires m >= 1, got {m}")
     value = m
@@ -56,13 +33,15 @@ def factorize(m: int) -> Factorization:
         d += 1 if d == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(value, tuple(factors))
+    if math.prod(q**e for q, e in factors) != value:
+        raise ArithmeticBug(f"factorization does not multiply back to {value}")
+    return tuple(factors)
 
 
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
-    f = factorize(m).factors
+    f = factorize(m)
     return len(f) == 1 and f[0][1] == 1
 
 
@@ -81,7 +60,7 @@ def primes_up_to(bound: int) -> list[int]:
 def divisors(m: int) -> list[int]:
     """All positive divisors of m, sorted increasing."""
     divs = [1]
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -91,9 +70,9 @@ def mobius(m: int) -> int:
     if m < 1:
         raise InputError(f"mobius requires m >= 1, got {m}")
     fact = factorize(m)
-    if any(e > 1 for _, e in fact.factors):
+    if any(e > 1 for _, e in fact):
         return 0
-    return -1 if len(fact.factors) % 2 else 1
+    return -1 if len(fact) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +81,7 @@ def gl2_order(n: int) -> int:
     if n < 2:
         raise InputError(f"gl2_order requires n >= 2, got {n}")
     out = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out *= p ** (4 * (e - 1)) * (p * p - 1) * (p * p - p)
     return out
 

@@ -27,16 +27,10 @@ CSV_COLUMNS = [
 
 
 def _verdict_row(v: Verdict) -> dict:
-    return {
-        "p": v.p,
-        "a_p": v.a_p,
-        "b_p": v.b_p,
-        "n": v.n,
-        "residue_degree": v.residue_degree,
-        "num_primes": v.num_primes,
-        "irred_supply": v.irred_supply,
-        "classification": v.classification.value,
-    }
+    """One Verdict as a CSV/JSON row, keyed by CSV_COLUMNS in order."""
+    row = {name: getattr(v, name) for name in CSV_COLUMNS}
+    row["classification"] = v.classification.value
+    return row
 
 
 def _verdict_fields(verdicts: list[Verdict]) -> dict:

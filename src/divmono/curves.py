@@ -1,6 +1,6 @@
 """Integral long-Weierstrass curves: standard invariants, brute-force
-point counting over F_p, trace of Frobenius, a semistability certificate,
-and the three named one/two-parameter families.
+point counting over F_p, trace of Frobenius, and the three named
+one/two-parameter families.
 
 Point counting is naive enumeration of F_p x F_p, intended for small p.
 Reduction uses the given model directly: bad reduction is declared when
@@ -9,8 +9,7 @@ p divides the discriminant (no minimal-model computation).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import is_prime
 from .errors import InputError
@@ -26,15 +25,14 @@ class WeierstrassCurve:
     a3: int
     a4: int
     a6: int
-    c4: int = field(init=False)
-    disc: int = field(init=False)
 
     def __post_init__(self):
-        c4, disc = invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
-        if disc == 0:
+        if self.disc == 0:
             raise InputError(f"singular curve: discriminant is 0 for {self.coeffs()}")
-        object.__setattr__(self, "c4", c4)
-        object.__setattr__(self, "disc", disc)
+
+    @property
+    def disc(self) -> int:
+        return invariants(*self.coeffs())[1]
 
     def coeffs(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -75,15 +73,6 @@ def trace_of_frobenius(curve: WeierstrassCurve, p: int) -> int:
     return p + 1 - count_points(curve, p)
 
 
-def is_semistable_certificate(curve: WeierstrassCurve) -> bool:
-    """True iff gcd(c4, disc) = 1, which certifies semistability.
-
-    This is a sufficient condition only: False means "not certified by
-    this model", not "not semistable".
-    """
-    return math.gcd(curve.c4, curve.disc) == 1
-
-
 def daniels_t(t: int) -> WeierstrassCurve:
     """y^2 + xy = x^3 + t (singular at 2 when t is even)."""
     return WeierstrassCurve(1, 0, 0, 0, t)
@@ -105,13 +94,3 @@ FAMILIES = {
     "semistable": (semistable_s, ("s",)),
     "uv": (uv, ("u", "v")),
 }
-
-
-def family(name: str, *params: int) -> WeierstrassCurve:
-    """Instantiate one of the named families by parameter list."""
-    if name not in FAMILIES:
-        raise InputError(f"unknown family {name!r}; choices: {sorted(FAMILIES)}")
-    ctor, names = FAMILIES[name]
-    if len(params) != len(names):
-        raise InputError(f"family {name!r} takes parameters {names}")
-    return ctor(*params)

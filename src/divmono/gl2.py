@@ -56,7 +56,7 @@ def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> int:
             f"(det {det % n})"
         )
     orders = []
-    for q, e in factorize(n).factors:
+    for q, e in factorize(n):
         m = q**e
         orders.append(_order_prime_power((a % m, b % m, c % m, d % m), q, e))
     return reduce(math.lcm, orders, 1)
@@ -71,8 +71,8 @@ def _order_prime_power(M: tuple, q: int, e: int) -> int:
     # group order is q^(4e-3) (q-1)^2 (q+1), so its prime factors are q
     # together with those of q-1 and q+1
     prime_factors = {q}
-    prime_factors.update(p for p, _ in factorize(q - 1).factors)
-    prime_factors.update(p for p, _ in factorize(q + 1).factors)
+    prime_factors.update(p for p, _ in factorize(q - 1))
+    prime_factors.update(p for p, _ in factorize(q + 1))
     order = group_order
     for p in prime_factors:
         while order % p == 0 and mat_pow(M, order // p, m) == IDENTITY:

@@ -114,14 +114,10 @@ def test(
 
 @dataclass(frozen=True)
 class ScanReport:
-    """All obstructed n up to n_max for one datum: one table row."""
+    """All obstructed n of a scan for one datum: one table row."""
 
     datum: FrobeniusDatum
-    n_max: int
     obstructed: tuple[Verdict, ...]
-
-    def entries(self) -> tuple[tuple[int, Classification], ...]:
-        return tuple((v.n, v.classification) for v in self.obstructed)
 
 
 def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
@@ -135,7 +131,7 @@ def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
         verdict = test(datum, n, ImageAssumption.FULL_GL2)
         if verdict.classification is not Classification.NO_OBSTRUCTION:
             hits.append(verdict)
-    return ScanReport(datum, n_max, tuple(hits))
+    return ScanReport(datum, tuple(hits))
 
 
 def full_table(p: int, n_max: int) -> list[ScanReport]:
@@ -156,22 +152,26 @@ class SupersingularCheck:
 
 
 def supersingular_check(p: int) -> SupersingularCheck:
-    """For supersingular p > 3, verify that the Frobenius matrix has order
-    2 mod p+1 for every admissible b, and compare |GL2(Z/(p+1)Z)|/2
-    against the count of irreducible quadratics over F_p.
+    """For supersingular p > 3, the verdict at n = p + 1 for every
+    admissible b: the residue degrees, and the full-image count of primes
+    against the supply of irreducible polynomials of that degree.
+
+    Every order is exactly 2. With a_p = 0, Cayley-Hamilton gives
+    sigma^2 = a_p sigma - p I = -p I, which is I mod p + 1; and sigma is not
+    I mod p + 1, since its trace 0 is not 2 mod p + 1 >= 6. So the
+    comparison is |GL2(Z/(p+1)Z)| / 2 primes against (p^2 - p) / 2
+    irreducible quadratics, the same for every b.
     """
     if p <= 3:
         raise InputError(f"supersingular check requires p > 3, got {p}")
-    bs = enumerate_b(p, 0)
-    orders = tuple(order_mod(sigma(FrobeniusDatum(p, 0, b)), p + 1) for b in bs)
-    supply = irred_count(2, p)
-    num_primes = gl2_order(p + 1) // 2
+    verdicts = [test(FrobeniusDatum(p, 0, b), p + 1) for b in enumerate_b(p, 0)]
+    v = verdicts[0]  # b = 1 is always admissible
     return SupersingularCheck(
         p=p,
-        orders=orders,
-        num_primes_full=num_primes,
-        irred_supply=supply,
-        obstructed=num_primes > supply,
+        orders=tuple(w.residue_degree for w in verdicts),
+        num_primes_full=v.num_primes,
+        irred_supply=v.irred_supply,
+        obstructed=v.classification is not Classification.NO_OBSTRUCTION,
     )
 
 
@@ -201,7 +201,9 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
     bound_prime = None
     p = 3
     while prime is None or bound_prime is None:
-        p = _next_prime(p)
+        p += 1
+        if not is_prime(p):
+            continue
         if prime is None and gl2_order(p + 1) > 4 * index * irred_count(2, p):
             prime = p
             exact_lhs = gl2_order(p + 1) // (4 * index)
@@ -209,13 +211,6 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
         if bound_prime is None and 3 * (p + 1) ** 4 > 16 * index * (p * p - p):
             bound_prime = p
     return CorollaryThreshold(index, prime, exact_lhs, supply, bound_prime)
-
-
-def _next_prime(p: int) -> int:
-    p += 1
-    while not is_prime(p):
-        p += 1
-    return p
 
 
 class CurvePrimeStatus(enum.Enum):

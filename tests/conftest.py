@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from divmono import enumerate_data
+from divmono.frobenius import enumerate_data
 from divmono.obstruction import ImageAssumption, test as obstruction_test
 
 GOLDEN_PRIMES = (2, 3, 5, 7, 11)

@@ -29,13 +29,13 @@ def brute_gl2_order(n):
 
 class TestFactorize:
     def test_one_is_empty_product(self):
-        assert factorize(1).factors == ()
+        assert factorize(1) == ()
 
     def test_twelve(self):
-        assert factorize(12).factors == ((2, 2), (3, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
 
     def test_13200(self):
-        assert factorize(13200).factors == ((2, 4), (3, 1), (5, 2), (11, 1))
+        assert factorize(13200) == ((2, 4), (3, 1), (5, 2), (11, 1))
 
     def test_rejects_zero(self):
         with pytest.raises(InputError):
@@ -44,8 +44,8 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_round_trip(self, m):
         fact = factorize(m)
-        assert math.prod(p**e for p, e in fact.factors) == m
-        assert all(is_prime(p) for p, _ in fact.factors)
+        assert math.prod(p**e for p, e in fact) == m
+        assert all(is_prime(p) for p, _ in fact)
 
 
 class TestMobius:

@@ -3,7 +3,7 @@ import pytest
 from divmono.arith import gl2_order, irred_count, primes_up_to
 from divmono.curves import WeierstrassCurve, daniels_t, semistable_s, uv
 from divmono.errors import InputError
-from divmono.frobenius import FrobeniusDatum
+from divmono.frobenius import FrobeniusDatum, enumerate_b
 from divmono.obstruction import (
     Classification,
     CurvePrimeStatus,
@@ -18,6 +18,11 @@ from divmono.obstruction import test as verdict  # "test" confuses pytest collec
 
 FULL = ImageAssumption.FULL_GL2
 INDEX2 = ImageAssumption.INDEX2_SUBGROUP
+
+
+def entries(report):
+    """A table row as (n, classification) pairs."""
+    return [(v.n, v.classification) for v in report.obstructed]
 
 
 class TestVerdicts:
@@ -67,7 +72,7 @@ class TestVerdicts:
 class TestScan:
     def test_row_a2_1(self):
         report = scan(FrobeniusDatum(2, 1, 1), 999)
-        assert report.entries() == ((11, Classification.OBSTRUCTION),)
+        assert entries(report) == [(11, Classification.OBSTRUCTION)]
 
     def test_row_a2_minus_1(self):
         report = scan(FrobeniusDatum(2, -1, 1), 999)
@@ -91,11 +96,11 @@ class TestFullTable:
         ]
 
     def test_sign_symmetric_rows_p2(self):
-        rows = {(r.datum.a_p, r.datum.b_p): r.entries() for r in full_table(2, 300)}
+        rows = {(r.datum.a_p, r.datum.b_p): entries(r) for r in full_table(2, 300)}
         assert rows[(2, 1)] == rows[(-2, 1)]
 
     def test_sign_asymmetric_rows_p11(self):
-        rows = {(r.datum.a_p, r.datum.b_p): r.entries() for r in full_table(11, 30)}
+        rows = {(r.datum.a_p, r.datum.b_p): entries(r) for r in full_table(11, 30)}
         assert rows[(1, 1)] != rows[(-1, 1)]  # 10 obstructs only for a = -1
 
 
@@ -106,6 +111,16 @@ class TestSupersingular:
         expected_count = 1 if p % 4 == 1 else 2
         assert check.orders == (2,) * expected_count
         assert check.obstructed
+
+    def test_closed_forms(self):
+        # order 2 for every admissible b, |GL2(Z/(p+1)Z)|/2 primes against
+        # (p^2 - p)/2 irreducible quadratics
+        for p in (q for q in primes_up_to(2000) if q >= 5):
+            check = supersingular_check(p)
+            assert check.orders == (2,) * len(enumerate_b(p, 0))
+            assert check.num_primes_full == gl2_order(p + 1) // 2
+            assert check.irred_supply == (p * p - p) // 2
+            assert check.obstructed == (check.num_primes_full > check.irred_supply)
 
     def test_counts_at_five(self):
         check = supersingular_check(5)
