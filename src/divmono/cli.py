@@ -87,9 +87,7 @@ def cmd_sigma(args, out) -> int:
 
 def cmd_test(args, out) -> int:
     datum = frobenius.FrobeniusDatum(args.p, args.a, args.b)
-    image = (ImageAssumption.INDEX2_SUBGROUP if args.image == "index2"
-             else ImageAssumption.FULL_GL2)
-    v = obstruction.test(datum, args.n, image)
+    v = obstruction.test(datum, args.n, ImageAssumption(args.image))
     inputs = {"p": args.p, "a": args.a, "b": args.b, "n": args.n,
               "image": args.image}
     line = (f"p={v.p} a_p={v.a_p} b_p={v.b_p} n={v.n}: {v.classification.value} "
@@ -200,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--image", choices=("full", "index2"), default="full")
+    p.add_argument("--image", choices=[i.value for i in ImageAssumption], default="full")
     add_format(p)
     p.set_defaults(func=cmd_test)
 

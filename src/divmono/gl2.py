@@ -67,13 +67,11 @@ def _order_prime_power(M: tuple, q: int, e: int) -> int:
     """Order of M, reduced mod q^e, in GL2(Z/q^eZ) by stripping primes
     from the group order."""
     m = q**e
-    group_order = gl2_order(m)
     # group order is q^(4e-3) (q-1)^2 (q+1), so its prime factors are q
-    # together with those of q-1 and q+1
+    # together with those of q^2-1
     prime_factors = {q}
-    prime_factors.update(p for p, _ in factorize(q - 1))
-    prime_factors.update(p for p, _ in factorize(q + 1))
-    order = group_order
+    prime_factors.update(p for p, _ in factorize(q * q - 1))
+    order = gl2_order(m)
     for p in prime_factors:
         while order % p == 0 and mat_pow(M, order // p, m) == IDENTITY:
             order //= p

@@ -1,17 +1,10 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from divmono.arith import (
-    divisors,
-    factorize,
-    gl2_order,
-    irred_count,
-    is_prime,
-    mobius,
-    primes_up_to,
-)
+from divmono.arith import factorize, gl2_order, irred_count, is_prime, primes_up_to
 from divmono.errors import InputError
 
 
@@ -48,15 +41,13 @@ class TestFactorize:
         assert all(is_prime(p) for p, _ in fact)
 
 
-class TestMobius:
-    @pytest.mark.parametrize("m,expected", [(1, 1), (10, 1), (12, 0), (2, -1), (30, -1)])
-    def test_values(self, m, expected):
-        assert mobius(m) == expected
+class TestIsPrime:
+    def test_matches_sieve(self):
+        assert [m for m in range(-5, 10**4 + 1) if is_prime(m)] == primes_up_to(10**4)
 
-    @given(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=100))
-    def test_multiplicative_on_coprime(self, a, b):
-        if math.gcd(a, b) == 1:
-            assert mobius(a * b) == mobius(a) * mobius(b)
+    @given(st.integers(min_value=-(10**3), max_value=10**12))
+    def test_matches_sympy(self, m):
+        assert is_prime(m) == sympy.isprime(m)
 
 
 class TestGl2Order:
@@ -93,7 +84,14 @@ class TestIrredCount:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_gauss_inversion(self, m, p):
         # summing d * irred(d, p) over divisors of m recovers p^m
-        assert sum(d * irred_count(d, p) for d in divisors(m)) == p**m
+        assert sum(d * irred_count(d, p) for d in sympy.divisors(m)) == p**m
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_mobius_sum_over_all_divisors(self, p):
+        # the sum over every divisor d, mu(m/d) = 0 terms included
+        for m in range(1, 61):
+            total = sum(sympy.mobius(m // d) * p**d for d in sympy.divisors(m))
+            assert m * irred_count(m, p) == total, (m, p)
 
     def test_rejects_composite_base(self):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from divmono.arith import gl2_order, irred_count, primes_up_to
@@ -158,6 +160,21 @@ class TestCorollary:
     def test_rejects_zero_index(self):
         with pytest.raises(InputError):
             corollary_threshold(0)
+
+    def test_search_keeps_no_per_integer_state(self):
+        # the search walks every integer up to p ~ sqrt(2 * index); whatever
+        # it leaves allocated must not grow with that walk
+        irred_count.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = corollary_threshold(10**8)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (result.prime, result.exact_lhs, result.irred_supply, result.bound_prime) == (
+            23131, 268379224, 267510015, 23099)
+        assert kept < 2_000_000, f"{kept} bytes kept"
 
 
 class TestEssentialDivisorScan:
