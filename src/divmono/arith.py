@@ -2,17 +2,28 @@
 counting formulas (order of GL2(Z/nZ) and irreducible polynomials over F_p).
 
 Everything here runs on Python ints, and trial division is plenty at the
-scale of the scans (moduli < 1000, group orders around 10^12). Only
-irred_count is cached: the tables repeat its (m, p) 92% of the time and its
-powers of p dominate them; caches on factorize and gl2_order gained nothing.
+scale of the scans (moduli < 1000, group orders around 10^12). Nothing is
+cached: the verdicts decide most comparisons by a bound without calling
+irred_count, and a cache on it, factorize or gl2_order gained nothing.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import ArithmeticBug, InputError
+
+# (a, psi): the first 13 primes a, each with the least strong pseudoprime
+# to it and all the bases before it (Jaeschke, Math. Comp. 61, 1993; Jiang
+# and Deng, Math. Comp. 83, 2014; Sorenson and Webster, Math. Comp. 86,
+# 2017). Miller-Rabin with the bases up to a is exact below its psi.
+_MR_BASES = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751),
+    (11, 2152302898747), (13, 3474749660383), (17, 341550071728321),
+    (19, 341550071728321), (23, 3825123056546413051),
+    (29, 3825123056546413051), (31, 3825123056546413051),
+    (37, 318665857834031151167461), (41, 3317044064679887385961981),
+)
 
 
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
@@ -39,10 +50,31 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_prime(m: int) -> bool:
-    """Trial division by 2 and by the odd numbers up to sqrt(m)."""
-    if m < 4:
-        return m > 1
-    return m % 2 == 1 and all(m % d for d in range(3, math.isqrt(m) + 1, 2))
+    """Deterministic Miller-Rabin over as many of the first 13 prime bases
+    as _MR_BASES says m needs. A composite m is always found out; an
+    m >= psi_13 that passes all 13 bases raises InputError, since no base
+    set here proves it prime."""
+    if m < 2:
+        return False
+    for a, _ in _MR_BASES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a, psi in _MR_BASES:
+        x = pow(a, d, m)
+        if x != 1 and x != m - 1:
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        if m < psi:
+            return True
+    raise InputError(f"primality is decided only below {psi}, got {m}")
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -67,7 +99,6 @@ def gl2_order(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def irred_count(m: int, p: int) -> int:
     """Number of monic irreducible polynomials of degree m over F_p:
     (1/m) * sum over d | m of mu(m/d) p^d, where only the squarefree

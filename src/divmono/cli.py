@@ -2,7 +2,9 @@
 
 Subcommands: sigma, test, table, curve, supersingular, corollary.
 Output formats: text (default), csv, json. Exit codes: 0 success,
-2 invalid input, 3 internal arithmetic assertion failure.
+2 invalid input, 3 internal arithmetic assertion failure. A supply with
+more digits than CPython prints (D = sys.get_int_max_str_digits()) is
+printed as the token >=10^D in every format.
 
 All configuration is via flags; no environment variable is read.
 """
@@ -17,7 +19,7 @@ import sys
 
 from . import curves, frobenius, obstruction
 from .errors import ArithmeticBug, InputError
-from .obstruction import Classification, ImageAssumption, Verdict
+from .obstruction import Classification, ImageAssumption, Verdict, _supply_exceeds
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = [
@@ -26,11 +28,29 @@ CSV_COLUMNS = [
 ]
 
 
+def _printed_supply(v: Verdict) -> int | str:
+    """The verdict's supply as every format prints it: the exact integer,
+    or the token >=10^D when it has more digits than CPython's int-to-str
+    limit D. The supply is at most p^m < 2^(m * bitlen(p)), which is below
+    8^D <= 10^D unless m * bitlen(p) > 3D; past that the bound decides
+    first, so a supply far past the limit is never computed."""
+    digits = sys.get_int_max_str_digits()
+    m, p = v.residue_degree, v.p
+    if not digits or m * p.bit_length() <= 3 * digits:
+        return v.irred_supply
+    token, limit = f">=10^{digits}", 10**digits
+    if _supply_exceeds(m, p, limit - 1):
+        return token
+    supply = v.irred_supply
+    return token if supply >= limit else supply
+
+
 def _verdict_row(v: Verdict) -> dict:
     """One Verdict as a CSV/JSON row, keyed by CSV_COLUMNS in order."""
-    row = {name: getattr(v, name) for name in CSV_COLUMNS}
-    row["classification"] = v.classification.value
-    return row
+    printed = {"irred_supply": _printed_supply(v),
+               "classification": v.classification.value}
+    return {name: printed[name] if name in printed else getattr(v, name)
+            for name in CSV_COLUMNS}
 
 
 def _verdict_fields(verdicts: list[Verdict]) -> dict:
@@ -92,7 +112,7 @@ def cmd_test(args, out) -> int:
               "image": args.image}
     line = (f"p={v.p} a_p={v.a_p} b_p={v.b_p} n={v.n}: {v.classification.value} "
             f"(residue_degree={v.residue_degree} num_primes={v.num_primes} "
-            f"irred_supply={v.irred_supply})")
+            f"irred_supply={_printed_supply(v)})")
     _emit(out, args.format, "test", inputs, _verdict_fields([v]), [line])
     return 0
 

@@ -3,8 +3,9 @@
 A matrix mod m is a flat tuple (a, b, c, d) of ints in [0, m), standing for
 [[a, b], [c, d]]. Only this module knows that layout: order_mod takes an
 integral matrix ((a, b), (c, d)) as frobenius.sigma returns it. The order
-is found locally at each prime power q^e || n by the usual divisor-stripping
-trick starting from |GL2(Z/q^eZ)|, and the local orders combine by lcm.
+is found locally at each prime power q^e || n by stripping primes from a
+multiple of it that the eigenvalues mod q give, and the local orders combine
+by lcm.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 
-from .arith import factorize, gl2_order
-from .errors import InputError
+from .arith import factorize
+from .errors import ArithmeticBug, InputError
 
 IDENTITY = (1, 0, 0, 1)
 
@@ -64,15 +65,43 @@ def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> int:
 
 @lru_cache(maxsize=65536)
 def _order_prime_power(M: tuple, q: int, e: int) -> int:
-    """Order of M, reduced mod q^e, in GL2(Z/q^eZ) by stripping primes
-    from the group order."""
+    """Order of M, reduced mod q^e, in GL2(Z/q^eZ).
+
+    The order divides a multiple N read off M mod q. For odd q, with trace
+    t, determinant d and delta = t^2 - 4d mod q, the order of M mod q divides
+    q - 1 when delta is a nonzero square (M is diagonalizable over F_q),
+    q^2 - 1 when delta is a non-square (F_q[M] is the field F_(q^2)), and
+    q(q - 1) when delta = 0 (M = lambda(I + N') with N' nilpotent, so
+    (I + N')^q = I). For q = 2 it divides 6, the exponent of GL2(F_2) = S3.
+    The kernel of reduction mod q has exponent q^(e-1), since
+    (I + q^j X)^q = I mod q^(j+1). For each prime r^k || N, the r-part of
+    the order is the least r^i with (M^(N/r^k))^(r^i) = I.
+    """
     m = q**e
-    # group order is q^(4e-3) (q-1)^2 (q+1), so its prime factors are q
-    # together with those of q^2-1
-    prime_factors = {q}
-    prime_factors.update(p for p, _ in factorize(q * q - 1))
-    order = gl2_order(m)
-    for p in prime_factors:
-        while order % p == 0 and mat_pow(M, order // p, m) == IDENTITY:
-            order //= p
+    if q == 2:
+        multiple, parts = 3 * m, (3,)
+    else:
+        a, b, c, d = M
+        t = a + d
+        delta = (t * t - 4 * (a * d - b * c)) % q
+        if delta == 0:
+            multiple, parts = m * (q - 1), (q - 1,)
+        elif pow(delta, (q - 1) // 2, q) == 1:
+            multiple, parts = m // q * (q - 1), (q - 1,)
+        else:
+            multiple, parts = m // q * (q * q - 1), (q - 1, q + 1)
+    # factored apart, q - 1 and q + 1 need trial division only to sqrt(q)
+    primes = {q}.union(r for part in parts for r, _ in factorize(part))
+    order = 1
+    for r in (r for r in primes if multiple % r == 0):
+        r_part = 1
+        while multiple % (r_part * r) == 0:
+            r_part *= r
+        A = mat_pow(M, multiple // r_part, m)
+        while A != IDENTITY:
+            if r_part == 1:
+                raise ArithmeticBug(f"order of {M} mod {m} does not divide {multiple}")
+            A = mat_pow(A, r, m)
+            order *= r
+            r_part //= r
     return order

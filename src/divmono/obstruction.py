@@ -46,8 +46,31 @@ class Verdict:
     n: int
     residue_degree: int
     num_primes: int
-    irred_supply: int
     classification: Classification
+
+    @property
+    def irred_supply(self) -> int:
+        """Irreducible polynomials of the residue degree over F_p; it can
+        have about residue_degree * log10(p) digits."""
+        return irred_count(self.residue_degree, self.p)
+
+
+def _supply_exceeds(m: int, p: int, x: int) -> bool:
+    """True only if I_m(p), the number of monic irreducible polynomials of
+    degree m over F_p, exceeds x; decided from bit lengths alone.
+
+    Proof. Let L = (2 * m * x).bit_length(). Since p >= 2^(bitlen(p) - 1),
+    m * (bitlen(p) - 1) > L gives p^m >= 2^(L + 1) > 2mx. The Moebius sum
+    m * I_m(p) = sum over d | m of mu(m/d) p^d keeps p^m and loses at most
+    the terms with d <= m/2, which sum to p(p^k - 1)/(p - 1) < 2p^k for
+    k = floor(m/2); so m * I_m(p) > p^m - 2p^k (Lidl and Niederreiter,
+    Finite Fields, ch. 3). When p^(m-k) >= 4, 2p^k <= p^m / 2, hence
+    m * I_m(p) > p^m / 2 > mx. The rest, p^(m-k) < 4, is m <= 2 with
+    p = 2 or 3, where bitlen(p) - 1 = 1: the premise m > L then gives
+    2mx < 2^L <= 2^(m-1) <= 2, so x <= 0 < I_m(p). (A negative x is below
+    I_m(p) >= 1 whatever the premise says.)
+    """
+    return m * (p.bit_length() - 1) > (2 * m * x).bit_length()
 
 
 def test(
@@ -58,6 +81,9 @@ def test(
     """Compare the number of primes above p in the n-torsion field with
     the count of irreducible polynomials of the matching degree.
 
+    When _supply_exceeds proves the supply larger than the full-image
+    count of primes, the verdict is NO_OBSTRUCTION under either image
+    and the supply is never computed; otherwise it is compared exactly.
     Under FULL_GL2 the classification is three-way: an entry obstructed
     under the full image but not under an index-2 image is flagged
     OBSTRUCTION_ONLY_FULL_IMAGE (a "red" entry). Under INDEX2_SUBGROUP the
@@ -71,12 +97,15 @@ def test(
     full_degree = gl2_order(n)
     if full_degree % ord_sigma != 0:
         raise ArithmeticBug(f"order {ord_sigma} does not divide |GL2| for n={n}")
-    supply = irred_count(ord_sigma, datum.p)
 
     # obstruction under full image: supply < |GL2|/ord;
     # under index 2: supply < (|GL2|/2)/ord, compared without dividing
-    obstructed_full = supply * ord_sigma < full_degree
-    obstructed_half = supply * ord_sigma * 2 < full_degree
+    if _supply_exceeds(ord_sigma, datum.p, full_degree // ord_sigma):
+        obstructed_full = obstructed_half = False
+    else:
+        supply = irred_count(ord_sigma, datum.p)
+        obstructed_full = supply * ord_sigma < full_degree
+        obstructed_half = supply * ord_sigma * 2 < full_degree
 
     if image is ImageAssumption.FULL_GL2:
         degree = full_degree
@@ -107,7 +136,6 @@ def test(
         n=n,
         residue_degree=ord_sigma,
         num_primes=degree // ord_sigma,
-        irred_supply=supply,
         classification=cls,
     )
 

@@ -15,7 +15,7 @@ import time
 
 import sympy
 
-from divmono import arith, gl2
+from divmono import gl2
 from divmono.arith import gl2_order, irred_count, primes_up_to
 from divmono.curves import WeierstrassCurve, daniels_t, semistable_s, trace_of_frobenius, uv
 from divmono.errors import InputError
@@ -61,7 +61,6 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_golden_tables():
     # cold-cache timing for the full five-prime scan
-    arith.irred_count.cache_clear()
     gl2._order_prime_power.cache_clear()
     start = time.perf_counter()
     scans = {p: full_table(p, 999) for p in sorted(GOLDEN)}

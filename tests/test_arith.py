@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 from divmono.arith import factorize, gl2_order, irred_count, is_prime, primes_up_to
 from divmono.errors import InputError
 
+# the least strong pseudoprime to all of the first 13 prime bases
+PSI_13 = 3317044064679887385961981
+
 
 def brute_gl2_order(n):
     """Count 2x2 matrices mod n with determinant a unit; test oracle."""
@@ -48,6 +51,32 @@ class TestIsPrime:
     @given(st.integers(min_value=-(10**3), max_value=10**12))
     def test_matches_sympy(self, m):
         assert is_prime(m) == sympy.isprime(m)
+
+    @given(st.integers(min_value=10**12, max_value=PSI_13 - 1))
+    def test_matches_sympy_up_to_the_limit(self, m):
+        assert is_prime(m) == sympy.isprime(m)
+
+    @pytest.mark.parametrize("m", [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+        318665857834031151167461,  # passes every base 2..37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, m):
+        # psi_k, the least strong pseudoprime to the first k prime bases
+        assert not is_prime(m)
+
+    def test_primes_near_the_limit(self):
+        assert is_prime(10**18 + 3)
+        assert is_prime(PSI_13 - 2) == sympy.isprime(PSI_13 - 2)
+
+    @pytest.mark.parametrize("m", [PSI_13, sympy.nextprime(PSI_13)])
+    def test_limit_is_input_error(self, m):
+        with pytest.raises(InputError):
+            is_prime(m)
+
+    @pytest.mark.parametrize("m", [PSI_13 + 1, 10**30, 10**30 + 1])
+    def test_composites_past_the_limit(self, m):
+        assert not sympy.isprime(m) and not is_prime(m)
 
 
 class TestGl2Order:

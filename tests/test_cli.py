@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -25,6 +26,18 @@ class TestSigma:
         assert code == 0
         assert "[[1, 2], [-4, -1]]" in out
 
+    def test_large_prime(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "sigma", "--p", "1000000000000000003",
+                           "--a", "1", "--b", "1")
+        assert code == 0 and "p=1000000000000000003 a_p=1 b_p=1" in out
+        assert time.perf_counter() - start < 1
+
+    def test_prime_past_the_primality_limit_exits_2(self, capsys):
+        code, _, err = run(capsys, "sigma", "--p", "3317044064679887385961981",
+                           "--a", "1", "--b", "1")
+        assert code == 2 and "primality" in err
+
     def test_hasse_violation_exits_2(self, capsys):
         code, _, err = run(capsys, "sigma", "--p", "2", "--a", "3", "--b", "1")
         assert code == 2
@@ -42,6 +55,23 @@ class TestTest:
         _, out, _ = run(capsys, "test", "--p", "2", "--a", "0", "--b", "1",
                         "--n", "5", "--image", "index2")
         assert "no_obstruction" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_supply_too_long_to_print_is_a_token(self, capsys, fmt):
+        # I_994008(11) has about a million digits; the bound decides it
+        # without computing it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "test", "--p", "11", "--a", "6", "--b", "1",
+                             "--n", "997", "--format", fmt)
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        if fmt == "text":
+            assert "residue_degree=994008 " in out and "irred_supply=>=10^4300)" in out
+        else:
+            rows = (list(csv.DictReader(io.StringIO(out))) if fmt == "csv"
+                    else json.loads(out)["verdicts"])
+            assert [r["irred_supply"] for r in rows] == [">=10^4300"]
+        assert elapsed < 0.05, f"{elapsed:.3f} s"
 
     def test_non_coprime_exits_2(self, capsys):
         code, _, err = run(capsys, "test", "--p", "3", "--a", "0", "--b", "1", "--n", "6")

@@ -17,6 +17,18 @@ from divmono.curves import (
 from divmono.errors import InputError
 
 
+def count_points_naive(curve, p):
+    """#E(F_p) by enumerating F_p x F_p; test oracle for count_points."""
+    a1, a2, a3, a4, a6 = (a % p for a in curve.coeffs())
+    count = 1
+    for x in range(p):
+        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
+        for y in range(p):
+            if (y * y + a1 * x * y + a3 * y) % p == rhs:
+                count += 1
+    return count
+
+
 def c4(curve):
     return invariants(*curve.coeffs())[0]
 
@@ -71,6 +83,20 @@ class TestPointCounting:
     def test_rejects_bad_reduction(self):
         with pytest.raises(InputError):
             count_points(WeierstrassCurve(0, 0, 0, 0, 1), 3)  # disc = -432
+
+    def test_matches_enumeration(self):
+        # long Weierstrass models, a1 and a3 included, at every good p < 200
+        rng = random.Random(4)
+        checked = 0
+        while checked < 12:
+            try:
+                curve = WeierstrassCurve(*(rng.randint(-30, 30) for _ in range(5)))
+            except InputError:
+                continue
+            for p in primes_up_to(199):
+                if curve.has_good_reduction(p):
+                    assert count_points(curve, p) == count_points_naive(curve, p), (curve, p)
+            checked += 1
 
     def test_quadratic_character_oracle(self):
         # for y^2 = x^3 + Ax + B and odd p, #E = p + 1 + sum chi(x^3+Ax+B)

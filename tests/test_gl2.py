@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divmono.arith import gl2_order, primes_up_to
+from divmono.arith import factorize, gl2_order, primes_up_to
 from divmono.errors import InputError
 from divmono.frobenius import FrobeniusDatum, enumerate_b, sigma
-from divmono.gl2 import IDENTITY, mat_mul, mat_pow, order_mod
+from divmono.gl2 import IDENTITY, _order_prime_power, mat_mul, mat_pow, order_mod
 
 
 def order_naive(M, n, cap=None):
@@ -25,6 +25,45 @@ def order_naive(M, n, cap=None):
             return k
         power = mat_mul(power, flat, n)
     raise InputError(f"no order found below cap {cap}")
+
+
+def order_by_group_stripping(M, q, e):
+    """Order of the flat matrix M mod q^e by stripping primes from all of
+    |GL2(Z/q^eZ)| = q^(4e-3) (q-1)^2 (q+1); test oracle for the stripping
+    from the smaller multiple that the eigenvalues mod q give."""
+    m = q**e
+    order = gl2_order(m)
+    for r in {q}.union(r for r, _ in factorize(q * q - 1)):
+        while order % r == 0 and mat_pow(M, order // r, m) == IDENTITY:
+            order //= r
+    return order
+
+
+@st.composite
+def prime_power_matrices(draw):
+    """(M, q, e) with q <= 997 and e <= 3, M invertible mod q^e; a third are
+    scalar mod q and a third conjugates of a Jordan block mod q, the cases
+    with a repeated eigenvalue."""
+    q = draw(st.sampled_from(primes_up_to(997)))
+    e = draw(st.integers(min_value=1, max_value=3))
+    m = q**e
+    lift = st.integers(min_value=0, max_value=m // q - 1)
+    lam = draw(st.integers(min_value=1, max_value=q - 1)) if q > 2 else 1
+    kind = draw(st.sampled_from(("random", "scalar", "jordan")))
+    if kind == "random":
+        M = draw(st.tuples(*[st.integers(min_value=0, max_value=m - 1)] * 4))
+    elif kind == "scalar":
+        M = tuple((x + q * draw(lift)) % m for x in (lam, 0, 0, lam))
+    else:
+        P = draw(st.tuples(*[st.integers(min_value=0, max_value=m - 1)] * 4))
+        det = P[0] * P[3] - P[1] * P[2]
+        if math.gcd(det, q) != 1:
+            P, det = IDENTITY, 1
+        inv = pow(det, -1, m)
+        P_inv = (P[3] * inv % m, -P[1] * inv % m, -P[2] * inv % m, P[0] * inv % m)
+        J = ((lam + q * draw(lift)) % m, 1, q * draw(lift) % m, lam)
+        M = mat_mul(mat_mul(P, J, m), P_inv, m)
+    return M, q, e
 
 
 def reduced(M, n):
@@ -102,6 +141,13 @@ class TestOrder:
         a, b, c, d = entries
         if math.gcd(a * d - b * c, n) == 1:
             assert order_mod(((a, b), (c, d)), n) == order_naive(((a, b), (c, d)), n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(prime_power_matrices())
+    def test_matches_group_order_stripping(self, case):
+        M, q, e = case
+        if math.gcd(M[0] * M[3] - M[1] * M[2], q) == 1:
+            assert _order_prime_power(M, q, e) == order_by_group_stripping(M, q, e)
 
     def test_power_consistency(self):
         m = reduced(sigma(FrobeniusDatum(3, 1, 1)), 40)

@@ -1,13 +1,19 @@
+import math
+import sys
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
 from divmono.arith import gl2_order, irred_count, primes_up_to
+from divmono.cli import _printed_supply
 from divmono.curves import WeierstrassCurve, daniels_t, semistable_s, uv
 from divmono.errors import InputError
-from divmono.frobenius import FrobeniusDatum, enumerate_b
+from divmono.frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
+from divmono.gl2 import order_mod
 from divmono.obstruction import (
     Classification,
+    _supply_exceeds,
     CurvePrimeStatus,
     ImageAssumption,
     corollary_threshold,
@@ -69,6 +75,57 @@ class TestVerdicts:
                         continue
                     if v_half.classification is Classification.OBSTRUCTION:
                         assert verdict(d, n, FULL).classification is Classification.OBSTRUCTION
+
+
+@lru_cache(maxsize=None)
+def exact_supply(m, p):
+    return irred_count(m, p)
+
+
+def exact_classification(datum, n, image):
+    """The verdict's class from the exact supply, with no bound: the
+    comparison test() made for every cell before the bound; test oracle."""
+    order = order_mod(sigma(datum), n)
+    group = gl2_order(n)
+    if image is INDEX2 and (group // 2) % order:
+        return None  # test() rejects this n with InputError
+    supply = exact_supply(order, datum.p)
+    if 2 * supply * order < group:
+        return Classification.OBSTRUCTION
+    if supply * order < group and image is FULL:
+        return Classification.OBSTRUCTION_ONLY_FULL_IMAGE
+    return Classification.NO_OBSTRUCTION
+
+
+class TestSupplyBound:
+    def test_never_claims_more_than_the_exact_supply(self):
+        for p in (2, 3, 5, 7, 11, 13, 97):
+            for m in range(1, 61):
+                supply = irred_count(m, p)
+                for x in [*range(-2, 40), supply - 1, supply, 2 * supply]:
+                    assert not _supply_exceeds(m, p, x) or supply > x, (m, p, x)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_verdicts_match_the_exact_comparison(self, p):
+        # every admissible datum and every n <= 300 coprime to p, both images;
+        # the printed supply is exact below 10^D and the token from 10^D on
+        digits = sys.get_int_max_str_digits()
+        limit = 10**digits
+        for datum in enumerate_data(p):
+            for n in range(2, 301):
+                if math.gcd(n, p) != 1:
+                    continue
+                for image in (FULL, INDEX2):
+                    want = exact_classification(datum, n, image)
+                    if want is None:
+                        with pytest.raises(InputError):
+                            verdict(datum, n, image)
+                        continue
+                    v = verdict(datum, n, image)
+                    assert v.classification is want, (datum, n, image)
+                    supply = exact_supply(v.residue_degree, p)
+                    printed = supply if supply < limit else f">=10^{digits}"
+                    assert _printed_supply(v) == printed, (datum, n)
 
 
 class TestScan:
@@ -164,7 +221,6 @@ class TestCorollary:
     def test_search_keeps_no_per_integer_state(self):
         # the search walks every integer up to p ~ sqrt(2 * index); whatever
         # it leaves allocated must not grow with that walk
-        irred_count.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
