@@ -119,3 +119,26 @@ def irred_count(m: int, p: int) -> int:
         raise ArithmeticBug(f"irred_count({m}, {p}) came out nonpositive")
     return count
 
+
+def irred_count_capped(m: int, p: int, cap: int) -> int:
+    """min(irred_count(m, p), cap), returning cap without building the
+    supply when bit lengths alone prove I_m(p) >= cap.
+
+    Proof. Let x = cap - 1 and L = (2 * m * x).bit_length(). Since
+    p >= 2^(bitlen(p) - 1), m * (bitlen(p) - 1) > L gives p^m >= 2^(L + 1)
+    > 2mx. The Moebius sum m * I_m(p) = sum over d | m of mu(m/d) p^d keeps
+    p^m and loses at most the terms with d <= m/2, which sum to
+    p(p^k - 1)/(p - 1) < 2p^k for k = floor(m/2); so m * I_m(p) > p^m - 2p^k
+    (Lidl and Niederreiter, Finite Fields, ch. 3). When p^(m-k) >= 4,
+    2p^k <= p^m / 2, hence m * I_m(p) > p^m / 2 > mx. The rest, p^(m-k) < 4,
+    is m <= 2 with p = 2 or 3, where bitlen(p) - 1 = 1: the premise m > L
+    then gives 2mx < 2^L <= 2^(m-1) <= 2, so x <= 0 < I_m(p). (A cap <= 0 is
+    below I_m(p) >= 1 whatever the premise says.) Either way I_m(p) > x,
+    that is I_m(p) >= cap.
+    """
+    if m * (p.bit_length() - 1) <= (2 * m * (cap - 1)).bit_length():
+        return min(irred_count(m, p), cap)
+    if m < 1 or not is_prime(p):
+        irred_count(m, p)  # raises its InputError before any supply is built
+    return cap
+

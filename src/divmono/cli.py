@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 
 from . import curves, frobenius, obstruction
+from .arith import irred_count_capped
 from .errors import ArithmeticBug, InputError
-from .obstruction import Classification, ImageAssumption, Verdict, _supply_exceeds
+from .obstruction import Classification, ImageAssumption, Verdict
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = [
@@ -32,17 +34,15 @@ def _printed_supply(v: Verdict) -> int | str:
     """The verdict's supply as every format prints it: the exact integer,
     or the token >=10^D when it has more digits than CPython's int-to-str
     limit D. The supply is at most p^m < 2^(m * bitlen(p)), which is below
-    8^D <= 10^D unless m * bitlen(p) > 3D; past that the bound decides
-    first, so a supply far past the limit is never computed."""
+    8^D <= 10^D unless m * bitlen(p) > 3D; past that it is capped at 10^D,
+    so a supply far past the limit is never computed."""
     digits = sys.get_int_max_str_digits()
     m, p = v.residue_degree, v.p
     if not digits or m * p.bit_length() <= 3 * digits:
         return v.irred_supply
-    token, limit = f">=10^{digits}", 10**digits
-    if _supply_exceeds(m, p, limit - 1):
-        return token
-    supply = v.irred_supply
-    return token if supply >= limit else supply
+    limit = 10**digits
+    supply = irred_count_capped(m, p, limit)
+    return f">=10^{digits}" if supply == limit else supply
 
 
 def _verdict_row(v: Verdict) -> dict:
@@ -77,8 +77,6 @@ def _emit(out, fmt: str, command: str, inputs: dict, fields: dict,
         }
         json.dump(record, out, indent=2)
         out.write("\n")
-    else:
-        raise InputError(f"unknown format {fmt!r}")
 
 
 def _mark(v: Verdict) -> str:
@@ -110,10 +108,11 @@ def cmd_test(args, out) -> int:
     v = obstruction.test(datum, args.n, ImageAssumption(args.image))
     inputs = {"p": args.p, "a": args.a, "b": args.b, "n": args.n,
               "image": args.image}
-    line = (f"p={v.p} a_p={v.a_p} b_p={v.b_p} n={v.n}: {v.classification.value} "
-            f"(residue_degree={v.residue_degree} num_primes={v.num_primes} "
-            f"irred_supply={_printed_supply(v)})")
-    _emit(out, args.format, "test", inputs, _verdict_fields([v]), [line])
+    row = _verdict_row(v)
+    line = ("p={p} a_p={a_p} b_p={b_p} n={n}: {classification} "
+            "(residue_degree={residue_degree} num_primes={num_primes} "
+            "irred_supply={irred_supply})").format(**row)
+    _emit(out, args.format, "test", inputs, {"verdicts": [row]}, [line])
     return 0
 
 
@@ -165,12 +164,8 @@ def cmd_curve(args, out) -> int:
 
 def cmd_supersingular(args, out) -> int:
     check = obstruction.supersingular_check(args.p)
-    fields = {
-        "orders": list(check.orders),
-        "num_primes_full": check.num_primes_full,
-        "irred_supply": check.irred_supply,
-        "obstructed": check.obstructed,
-    }
+    fields = dataclasses.asdict(check)
+    del fields["p"]
     orders = ", ".join(str(o) for o in check.orders)
     line = (f"p={check.p} n={check.p + 1}: orders ({orders}); "
             f"{check.num_primes_full} primes vs {check.irred_supply} "
@@ -182,12 +177,8 @@ def cmd_supersingular(args, out) -> int:
 
 def cmd_corollary(args, out) -> int:
     result = obstruction.corollary_threshold(args.index)
-    fields = {
-        "prime": result.prime,
-        "exact_lhs": result.exact_lhs,
-        "irred_supply": result.irred_supply,
-        "bound_prime": result.bound_prime,
-    }
+    fields = dataclasses.asdict(result)
+    del fields["index"]
     line = (f"index={result.index}: first prime p={result.prime} "
             f"({result.exact_lhs} primes vs {result.irred_supply} "
             f"irreducible quadratics); "

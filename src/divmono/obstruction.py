@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import gl2_order, irred_count, is_prime, primes_up_to
+from .arith import gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to
 from .curves import WeierstrassCurve, trace_of_frobenius
 from .errors import ArithmeticBug, InputError
 from .frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
@@ -28,6 +28,12 @@ class ImageAssumption(enum.Enum):
 
     FULL_GL2 = "full"
     INDEX2_SUBGROUP = "index2"
+
+
+# Largest n that test() accepts. Factorizing n is trial division to sqrt(n),
+# so a prime n just below this limit takes about 2 s on a 2-core machine;
+# the paper's tables stop at n = 999.
+N_MAX = 10**14
 
 
 class Classification(enum.Enum):
@@ -55,24 +61,6 @@ class Verdict:
         return irred_count(self.residue_degree, self.p)
 
 
-def _supply_exceeds(m: int, p: int, x: int) -> bool:
-    """True only if I_m(p), the number of monic irreducible polynomials of
-    degree m over F_p, exceeds x; decided from bit lengths alone.
-
-    Proof. Let L = (2 * m * x).bit_length(). Since p >= 2^(bitlen(p) - 1),
-    m * (bitlen(p) - 1) > L gives p^m >= 2^(L + 1) > 2mx. The Moebius sum
-    m * I_m(p) = sum over d | m of mu(m/d) p^d keeps p^m and loses at most
-    the terms with d <= m/2, which sum to p(p^k - 1)/(p - 1) < 2p^k for
-    k = floor(m/2); so m * I_m(p) > p^m - 2p^k (Lidl and Niederreiter,
-    Finite Fields, ch. 3). When p^(m-k) >= 4, 2p^k <= p^m / 2, hence
-    m * I_m(p) > p^m / 2 > mx. The rest, p^(m-k) < 4, is m <= 2 with
-    p = 2 or 3, where bitlen(p) - 1 = 1: the premise m > L then gives
-    2mx < 2^L <= 2^(m-1) <= 2, so x <= 0 < I_m(p). (A negative x is below
-    I_m(p) >= 1 whatever the premise says.)
-    """
-    return m * (p.bit_length() - 1) > (2 * m * x).bit_length()
-
-
 def test(
     datum: FrobeniusDatum,
     n: int,
@@ -81,42 +69,25 @@ def test(
     """Compare the number of primes above p in the n-torsion field with
     the count of irreducible polynomials of the matching degree.
 
-    When _supply_exceeds proves the supply larger than the full-image
-    count of primes, the verdict is NO_OBSTRUCTION under either image
-    and the supply is never computed; otherwise it is compared exactly.
     Under FULL_GL2 the classification is three-way: an entry obstructed
     under the full image but not under an index-2 image is flagged
     OBSTRUCTION_ONLY_FULL_IMAGE (a "red" entry). Under INDEX2_SUBGROUP the
-    verdict is binary for that smaller degree.
+    verdict is binary for that smaller degree. n is limited to N_MAX,
+    because factorizing n is trial division.
     """
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
+    if n > N_MAX:
+        raise InputError(f"n must be <= {N_MAX}, got {n}")
     if math.gcd(n, datum.p) != 1:
         raise InputError(f"n = {n} is not coprime to p = {datum.p}")
     ord_sigma = order_mod(sigma(datum), n)
     full_degree = gl2_order(n)
     if full_degree % ord_sigma != 0:
         raise ArithmeticBug(f"order {ord_sigma} does not divide |GL2| for n={n}")
-
-    # obstruction under full image: supply < |GL2|/ord;
-    # under index 2: supply < (|GL2|/2)/ord, compared without dividing
-    if _supply_exceeds(ord_sigma, datum.p, full_degree // ord_sigma):
-        obstructed_full = obstructed_half = False
-    else:
-        supply = irred_count(ord_sigma, datum.p)
-        obstructed_full = supply * ord_sigma < full_degree
-        obstructed_half = supply * ord_sigma * 2 < full_degree
-
-    if image is ImageAssumption.FULL_GL2:
-        degree = full_degree
-        if obstructed_half:
-            cls = Classification.OBSTRUCTION
-        elif obstructed_full:
-            cls = Classification.OBSTRUCTION_ONLY_FULL_IMAGE
-        else:
-            cls = Classification.NO_OBSTRUCTION
-    else:
-        degree = full_degree // 2
+    degree = full_degree
+    if image is ImageAssumption.INDEX2_SUBGROUP:
+        degree //= 2
         if degree % ord_sigma != 0:
             # no index-2 subgroup of GL2(Z/nZ) contains this Frobenius
             # class, so the halved degree model is inconsistent here
@@ -124,11 +95,16 @@ def test(
                 f"index-2 image assumption is inconsistent at n={n}: "
                 f"order {ord_sigma} does not divide {degree}"
             )
-        cls = (
-            Classification.OBSTRUCTION
-            if obstructed_half
-            else Classification.NO_OBSTRUCTION
-        )
+
+    # With c = |GL2|/ord (ord divides |GL2|), min(I, c) < c iff I < c and
+    # min(I, c) < c/2 iff I < c/2: the capped supply decides both images.
+    supply = irred_count_capped(ord_sigma, datum.p, full_degree // ord_sigma)
+    if 2 * supply * ord_sigma < full_degree:
+        cls = Classification.OBSTRUCTION
+    elif image is ImageAssumption.FULL_GL2 and supply * ord_sigma < full_degree:
+        cls = Classification.OBSTRUCTION_ONLY_FULL_IMAGE
+    else:
+        cls = Classification.NO_OBSTRUCTION
     return Verdict(
         p=datum.p,
         a_p=datum.a_p,
@@ -225,20 +201,20 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
     """
     if index < 1:
         raise InputError(f"index must be >= 1, got {index}")
-    prime = exact_lhs = supply = None
-    bound_prime = None
+    prime = bound_prime = None
     p = 3
     while prime is None or bound_prime is None:
         p += 1
         if not is_prime(p):
             continue
-        if prime is None and gl2_order(p + 1) > 4 * index * irred_count(2, p):
-            prime = p
-            exact_lhs = gl2_order(p + 1) // (4 * index)
-            supply = irred_count(2, p)
+        if prime is None:
+            # once prime is found, group and supply keep their values there
+            group, supply = gl2_order(p + 1), irred_count(2, p)
+            if group > 4 * index * supply:
+                prime = p
         if bound_prime is None and 3 * (p + 1) ** 4 > 16 * index * (p * p - p):
             bound_prime = p
-    return CorollaryThreshold(index, prime, exact_lhs, supply, bound_prime)
+    return CorollaryThreshold(index, prime, group // (4 * index), supply, bound_prime)
 
 
 class CurvePrimeStatus(enum.Enum):

@@ -4,7 +4,9 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from divmono.arith import factorize, gl2_order, irred_count, is_prime, primes_up_to
+from divmono.arith import (
+    factorize, gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to,
+)
 from divmono.errors import InputError
 
 # the least strong pseudoprime to all of the first 13 prime bases
@@ -125,4 +127,22 @@ class TestIrredCount:
     def test_rejects_composite_base(self):
         with pytest.raises(InputError):
             irred_count(2, 6)
+
+
+class TestIrredCountCapped:
+    def test_equals_the_exact_supply_capped(self):
+        for p in (2, 3, 5, 7, 11, 13, 97):
+            for m in range(1, 61):
+                supply = irred_count(m, p)
+                for cap in [*range(-1, 41), supply, supply + 1, 2 * supply + 1]:
+                    assert irred_count_capped(m, p, cap) == min(supply, cap), (m, p, cap)
+
+    def test_rejects_degree_zero(self):
+        with pytest.raises(InputError):
+            irred_count_capped(0, 2, 1)
+
+    def test_rejects_composite_base_when_the_bound_decides(self):
+        # 4^1000 > 2 * 1000 * 9 by far: the bound alone would return the cap
+        with pytest.raises(InputError):
+            irred_count_capped(1000, 4, 10)
 

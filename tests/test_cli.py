@@ -78,6 +78,14 @@ class TestTest:
         assert code == 2
         assert "coprime" in err
 
+    def test_n_past_the_limit_exits_2(self, capsys):
+        # a prime n that trial division would never finish factorizing
+        start = time.perf_counter()
+        code, _, err = run(capsys, "test", "--p", "2", "--a", "1", "--b", "1",
+                           "--n", "1000000000000000003")
+        assert code == 2 and "n must be <=" in err
+        assert time.perf_counter() - start < 1
+
 
 class TestTable:
     def test_text_contains_rows(self, capsys):
