@@ -89,14 +89,9 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def gl2_order(n: int) -> int:
-    """|GL2(Z/nZ)| = prod over p^e || n of p^(4(e-1)) (p^2-1)(p^2-p)."""
-    if n < 2:
-        raise InputError(f"gl2_order requires n >= 2, got {n}")
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (4 * (e - 1)) * (p * p - 1) * (p * p - p)
-    return out
+def gl2_order(factors: tuple[tuple[int, int], ...]) -> int:
+    """|GL2(Z/nZ)| = prod over p^e || n of p^(4(e-1)) (p^2-1)(p^2-p), given factorize(n)."""
+    return math.prod(p ** (4 * (e - 1)) * (p * p - 1) * (p * p - p) for p, e in factors)
 
 
 def irred_count(m: int, p: int) -> int:

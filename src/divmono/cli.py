@@ -53,15 +53,11 @@ def _verdict_row(v: Verdict) -> dict:
             for name in CSV_COLUMNS}
 
 
-def _verdict_fields(verdicts: list[Verdict]) -> dict:
-    return {"verdicts": [_verdict_row(v) for v in verdicts]}
-
-
 def _emit(out, fmt: str, command: str, inputs: dict, fields: dict,
           text_lines: list[str]):
-    """Write one command's result. JSON is {schema_version, command,
-    inputs, **fields}; CSV writes the rows of fields["verdicts"], which
-    only the verdict commands accept."""
+    """Write one command's (inputs, fields, text_lines) result. JSON is
+    {schema_version, command, inputs, **fields}; CSV writes the rows of
+    fields["verdicts"], which only the verdict commands accept."""
     if fmt == "text":
         out.write("\n".join(text_lines) + "\n")
     elif fmt == "csv":
@@ -85,7 +81,7 @@ def _mark(v: Verdict) -> str:
     return f"{star}{v.n}"
 
 
-def cmd_sigma(args, out) -> int:
+def cmd_sigma(args):
     datum = frobenius.FrobeniusDatum(args.p, args.a, args.b)
     mat = frobenius.sigma(datum)
     inputs = {"p": args.p, "a": args.a, "b": args.b}
@@ -99,11 +95,10 @@ def cmd_sigma(args, out) -> int:
              f"p={datum.p} a_p={datum.a_p} b_p={datum.b_p} "
              f"delta_pi={datum.delta_pi} delta_end={datum.delta_end} "
              f"delta={datum.delta_parity}"]
-    _emit(out, args.format, "sigma", inputs, fields, lines)
-    return 0
+    return inputs, fields, lines
 
 
-def cmd_test(args, out) -> int:
+def cmd_test(args):
     datum = frobenius.FrobeniusDatum(args.p, args.a, args.b)
     v = obstruction.test(datum, args.n, ImageAssumption(args.image))
     inputs = {"p": args.p, "a": args.a, "b": args.b, "n": args.n,
@@ -112,20 +107,18 @@ def cmd_test(args, out) -> int:
     line = ("p={p} a_p={a_p} b_p={b_p} n={n}: {classification} "
             "(residue_degree={residue_degree} num_primes={num_primes} "
             "irred_supply={irred_supply})").format(**row)
-    _emit(out, args.format, "test", inputs, {"verdicts": [row]}, [line])
-    return 0
+    return inputs, {"verdicts": [row]}, [line]
 
 
-def cmd_table(args, out) -> int:
+def cmd_table(args):
     reports = obstruction.full_table(args.p, args.n_max)
     inputs = {"p": args.p, "n_max": args.n_max}
-    verdicts = [v for r in reports for v in r.obstructed]
+    rows = [_verdict_row(v) for r in reports for v in r.obstructed]
     lines = [f"p={args.p} n<={args.n_max} (* marks entries that vanish under an index-2 image)"]
     for r in reports:
         entries = ", ".join(_mark(v) for v in r.obstructed)
         lines.append(f"a_p={r.datum.a_p} b_p={r.datum.b_p}: {entries}")
-    _emit(out, args.format, "table", inputs, _verdict_fields(verdicts), lines)
-    return 0
+    return inputs, {"verdicts": rows}, lines
 
 
 def _build_curve(args) -> curves.WeierstrassCurve:
@@ -142,11 +135,11 @@ def _build_curve(args) -> curves.WeierstrassCurve:
     return curves.WeierstrassCurve(*coeffs)
 
 
-def cmd_curve(args, out) -> int:
+def cmd_curve(args):
     curve = _build_curve(args)
     reports = obstruction.essential_divisor_scan(curve, args.n, args.p_max)
     inputs = {"curve": list(curve.coeffs()), "n": args.n, "p_max": args.p_max}
-    verdicts = [v for r in reports for v in r.verdicts]
+    rows = [_verdict_row(v) for r in reports for v in r.verdicts]
     lines = [f"curve a1..a6={list(curve.coeffs())} disc={curve.disc} "
              f"n={args.n} p_max={args.p_max}"]
     for r in reports:
@@ -158,11 +151,10 @@ def cmd_curve(args, out) -> int:
             per_b = " ".join(
                 f"[b={v.b_p}: {v.classification.value}]" for v in r.verdicts)
             lines.append(f"p={r.p} a_p={r.a_p}: {r.status.value.upper()} {per_b}")
-    _emit(out, args.format, "curve", inputs, _verdict_fields(verdicts), lines)
-    return 0
+    return inputs, {"verdicts": rows}, lines
 
 
-def cmd_supersingular(args, out) -> int:
+def cmd_supersingular(args):
     check = obstruction.supersingular_check(args.p)
     fields = dataclasses.asdict(check)
     del fields["p"]
@@ -171,11 +163,10 @@ def cmd_supersingular(args, out) -> int:
             f"{check.num_primes_full} primes vs {check.irred_supply} "
             f"irreducible quadratics; "
             f"{'obstructed' if check.obstructed else 'not obstructed'}")
-    _emit(out, args.format, "supersingular", {"p": args.p}, fields, [line])
-    return 0
+    return {"p": args.p}, fields, [line]
 
 
-def cmd_corollary(args, out) -> int:
+def cmd_corollary(args):
     result = obstruction.corollary_threshold(args.index)
     fields = dataclasses.asdict(result)
     del fields["index"]
@@ -183,8 +174,7 @@ def cmd_corollary(args, out) -> int:
             f"({result.exact_lhs} primes vs {result.irred_supply} "
             f"irreducible quadratics); "
             f"closed-form bound first holds at p={result.bound_prime}")
-    _emit(out, args.format, "corollary", {"index": args.index}, fields, [line])
-    return 0
+    return {"index": args.index}, fields, [line]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,11 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = io.StringIO()
     try:
-        code = args.func(args, out)
+        _emit(out, args.format, args.command, *args.func(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -256,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal arithmetic error: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(out.getvalue())
-    return code
+    return 0
 
 
 if __name__ == "__main__":

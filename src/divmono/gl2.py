@@ -5,15 +5,15 @@ A matrix mod m is a flat tuple (a, b, c, d) of ints in [0, m), standing for
 integral matrix ((a, b), (c, d)) as frobenius.sigma returns it. The order
 is found locally at each prime power q^e || n by stripping primes from a
 multiple of it that the eigenvalues mod q give, and the local orders combine
-by lcm.
+by lcm; the same walk over n gives |GL2(Z/nZ)|.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
-from .arith import factorize
+from .arith import factorize, gl2_order
 from .errors import ArithmeticBug, InputError
 
 IDENTITY = (1, 0, 0, 1)
@@ -41,11 +41,12 @@ def mat_pow(M: tuple, k: int, m: int) -> tuple:
     return result
 
 
-def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> int:
-    """Least k >= 1 with M^k = I mod n, for an integral matrix
-    M = ((a, b), (c, d)) that is invertible mod n.
+def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> tuple[int, int]:
+    """(least k >= 1 with M^k = I mod n, |GL2(Z/nZ)|), for an integral
+    matrix M = ((a, b), (c, d)) that is invertible mod n.
 
-    Computed locally at each prime power q^e || n and recombined by lcm.
+    One factorization of n gives both: the local orders at each prime power
+    q^e || n recombine by lcm, and gl2_order multiplies the local group orders.
     """
     if n < 2:
         raise InputError(f"modulus must be >= 2, got {n}")
@@ -56,11 +57,12 @@ def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> int:
             f"matrix {(a % n, b % n, c % n, d % n)} mod {n} is not invertible "
             f"(det {det % n})"
         )
-    orders = []
-    for q, e in factorize(n):
+    factors = factorize(n)
+    order = 1
+    for q, e in factors:
         m = q**e
-        orders.append(_order_prime_power((a % m, b % m, c % m, d % m), q, e))
-    return reduce(math.lcm, orders, 1)
+        order = math.lcm(order, _order_prime_power((a % m, b % m, c % m, d % m), q, e))
+    return order, gl2_order(factors)
 
 
 @lru_cache(maxsize=65536)

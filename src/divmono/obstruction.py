@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to
+from .arith import factorize, gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to
 from .curves import WeierstrassCurve, trace_of_frobenius
 from .errors import ArithmeticBug, InputError
 from .frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
@@ -31,9 +31,15 @@ class ImageAssumption(enum.Enum):
 
 
 # Largest n that test() accepts. Factorizing n is trial division to sqrt(n),
-# so a prime n just below this limit takes about 2 s on a 2-core machine;
+# so a prime n just below this limit takes about 1.2 s on a 2-core machine;
 # the paper's tables stop at n = 999.
 N_MAX = 10**14
+# Largest index that corollary_threshold() accepts. The search walks every
+# integer up to about 2.3 sqrt(index): 1.7 s at this limit, 6 s at 10^12.
+INDEX_MAX = 10**11
+# Largest p_max that essential_divisor_scan() accepts. It counts points in
+# O(p) at every prime p <= p_max: 3.7 s at this limit, 13 s at 2 * 10^4.
+P_MAX = 10**4
 
 
 class Classification(enum.Enum):
@@ -81,8 +87,7 @@ def test(
         raise InputError(f"n must be <= {N_MAX}, got {n}")
     if math.gcd(n, datum.p) != 1:
         raise InputError(f"n = {n} is not coprime to p = {datum.p}")
-    ord_sigma = order_mod(sigma(datum), n)
-    full_degree = gl2_order(n)
+    ord_sigma, full_degree = order_mod(sigma(datum), n)
     if full_degree % ord_sigma != 0:
         raise ArithmeticBug(f"order {ord_sigma} does not divide |GL2| for n={n}")
     degree = full_degree
@@ -168,6 +173,8 @@ def supersingular_check(p: int) -> SupersingularCheck:
     """
     if p <= 3:
         raise InputError(f"supersingular check requires p > 3, got {p}")
+    if p + 1 > N_MAX:  # before enumerate_b, which loops b up to 2 sqrt(p)
+        raise InputError(f"n = p + 1 must be <= {N_MAX}, got p = {p}")
     verdicts = [test(FrobeniusDatum(p, 0, b), p + 1) for b in enumerate_b(p, 0)]
     v = verdicts[0]  # b = 1 is always admissible
     return SupersingularCheck(
@@ -201,6 +208,8 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
     """
     if index < 1:
         raise InputError(f"index must be >= 1, got {index}")
+    if index > INDEX_MAX:
+        raise InputError(f"index must be <= {INDEX_MAX}, got {index}")
     prime = bound_prime = None
     p = 3
     while prime is None or bound_prime is None:
@@ -209,7 +218,7 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
             continue
         if prime is None:
             # once prime is found, group and supply keep their values there
-            group, supply = gl2_order(p + 1), irred_count(2, p)
+            group, supply = gl2_order(factorize(p + 1)), irred_count(2, p)
             if group > 4 * index * supply:
                 prime = p
         if bound_prime is None and 3 * (p + 1) ** 4 > 16 * index * (p * p - p):
@@ -248,6 +257,8 @@ def essential_divisor_scan(
         raise InputError(f"n must be >= 2, got {n}")
     if p_max < 2:
         raise InputError(f"p_max must be >= 2, got {p_max}")
+    if p_max > P_MAX:
+        raise InputError(f"p_max must be <= {P_MAX}, got {p_max}")
     reports = []
     for p in primes_up_to(p_max):
         if n % p == 0:

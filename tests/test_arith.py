@@ -8,6 +8,7 @@ from divmono.arith import (
     factorize, gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to,
 )
 from divmono.errors import InputError
+from divmono.gl2 import order_mod
 
 # the least strong pseudoprime to all of the first 13 prime bases
 PSI_13 = 3317044064679887385961981
@@ -84,20 +85,19 @@ class TestIsPrime:
 class TestGl2Order:
     def test_eleven(self):
         # 1320 primes above 2 in the 11-torsion field, each of degree 10
-        assert gl2_order(11) == 13200
+        assert gl2_order(factorize(11)) == 13200
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_brute_force(self, n):
-        assert gl2_order(n) == brute_gl2_order(n)
-
-    def test_rejects_small(self):
-        with pytest.raises(InputError):
-            gl2_order(1)
+        group = brute_gl2_order(n)
+        assert gl2_order(factorize(n)) == group
+        assert order_mod(((0, 1), (-1, 0)), n)[1] == group
 
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=2, max_value=60))
     def test_multiplicative_on_coprime(self, a, b):
         if math.gcd(a, b) == 1:
-            assert gl2_order(a * b) == gl2_order(a) * gl2_order(b)
+            product = gl2_order(factorize(a)) * gl2_order(factorize(b))
+            assert gl2_order(factorize(a * b)) == product
 
 
 class TestIrredCount:

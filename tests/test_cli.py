@@ -147,6 +147,14 @@ class TestCurve:
         assert code == 2
         assert "--t" in err
 
+    def test_p_max_past_the_limit_exits_2(self, capsys):
+        # counting points at every prime up to 2 * 10^4 takes over 10 s
+        start = time.perf_counter()
+        code, _, err = run(capsys, "curve", "--family", "daniels", "--t", "3",
+                           "--n", "11", "--p-max", "10001")
+        assert code == 2 and "p_max must be <=" in err
+        assert time.perf_counter() - start < 1
+
 
 class TestTheoremCommands:
     def test_supersingular(self, capsys):
@@ -160,10 +168,23 @@ class TestTheoremCommands:
         assert code == 2
         assert "p > 3" in err
 
+    def test_supersingular_past_the_limit_exits_2(self, capsys):
+        # the least prime with p + 1 > 10^14; enumerating its b alone takes seconds
+        start = time.perf_counter()
+        code, _, err = run(capsys, "supersingular", "--p", "100000000000031")
+        assert code == 2 and "n = p + 1 must be <=" in err
+        assert time.perf_counter() - start < 1
+
     def test_corollary(self, capsys):
         code, out, _ = run(capsys, "corollary", "--index", "1")
         assert code == 0
         assert "p=5" in out
+
+    def test_corollary_past_the_limit_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "corollary", "--index", "100000000001")
+        assert code == 2 and "index must be <=" in err
+        assert time.perf_counter() - start < 1
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from divmono.arith import gl2_order, irred_count, primes_up_to
+from divmono.arith import factorize, gl2_order, irred_count, primes_up_to
 from divmono.cli import _printed_supply
 from divmono.curves import WeierstrassCurve, daniels_t, semistable_s, uv
 from divmono.errors import InputError
@@ -52,12 +52,33 @@ class TestVerdicts:
     def test_rejects_shared_factor(self):
         with pytest.raises(InputError):
             verdict(FrobeniusDatum(3, 0, 1), 6, FULL)
+        with pytest.raises(InputError, match="n must be >= 2"):
+            verdict(FrobeniusDatum(3, 0, 1), 1, FULL)
+
+    def test_one_factorization_of_n_per_verdict(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return factorize(m)
+
+        # every binding of factorize in the package, so calls between modules count
+        for name, module in list(sys.modules.items()):
+            if name == "divmono" or name.startswith("divmono."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is factorize:
+                        monkeypatch.setattr(module, attr, counted)
+        for n in (11, 45, 495, 997 * 9):
+            for image in (FULL, INDEX2):
+                calls.clear()
+                verdict(FrobeniusDatum(2, 1, 1), n, image)
+                assert calls.count(n) == 1
 
     def test_residue_degree_divides_both_degrees(self):
         for n in range(3, 40, 2):
             v_full = verdict(FrobeniusDatum(2, 1, 1), n, FULL)
             v_half = verdict(FrobeniusDatum(2, 1, 1), n, INDEX2)
-            assert gl2_order(n) % v_full.residue_degree == 0
+            assert gl2_order(factorize(n)) % v_full.residue_degree == 0
             assert v_full.num_primes == 2 * v_half.num_primes
 
     def test_index2_obstruction_implies_full(self):
@@ -84,8 +105,8 @@ def exact_supply(m, p):
 def exact_classification(datum, n, image):
     """The verdict's class from the exact supply, with no bound: the
     comparison test() made for every cell before the bound; test oracle."""
-    order = order_mod(sigma(datum), n)
-    group = gl2_order(n)
+    order = order_mod(sigma(datum), n)[0]
+    group = gl2_order(factorize(n))
     if image is INDEX2 and (group // 2) % order:
         return None  # test() rejects this n with InputError
     supply = exact_supply(order, datum.p)
@@ -169,13 +190,13 @@ class TestSupersingular:
         for p in (q for q in primes_up_to(2000) if q >= 5):
             check = supersingular_check(p)
             assert check.orders == (2,) * len(enumerate_b(p, 0))
-            assert check.num_primes_full == gl2_order(p + 1) // 2
+            assert check.num_primes_full == gl2_order(factorize(p + 1)) // 2
             assert check.irred_supply == (p * p - p) // 2
             assert check.obstructed == (check.num_primes_full > check.irred_supply)
 
     def test_counts_at_five(self):
         check = supersingular_check(5)
-        assert check.num_primes_full == gl2_order(6) // 2
+        assert check.num_primes_full == gl2_order(factorize(6)) // 2
         assert check.irred_supply == 10
 
     def test_rejects_small_p(self):
@@ -200,7 +221,7 @@ class TestCorollary:
         result = corollary_threshold(index)
         # brute-force the same criterion independently
         p = 5
-        while not gl2_order(p + 1) > 4 * index * irred_count(2, p):
+        while not gl2_order(factorize(p + 1)) > 4 * index * irred_count(2, p):
             p += 2
             while not all(p % q for q in range(3, int(p**0.5) + 1, 2)):
                 p += 2
