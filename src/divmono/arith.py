@@ -2,9 +2,12 @@
 counting formulas (order of GL2(Z/nZ) and irreducible polynomials over F_p).
 
 Everything here runs on Python ints, and trial division is plenty at the
-scale of the scans (moduli < 1000, group orders around 10^12). Nothing is
-cached: the verdicts decide most comparisons by a bound without calling
-irred_count, and a cache on it, factorize or gl2_order gained nothing.
+scale of the scans: moduli < 1000 and group orders around 10^12 in the
+published tables, and the gcds g_f that obstruction.scan factorizes for its
+candidates (under a second for the table of any p < 400 at
+obstruction.TABLE_N_MAX). Nothing is cached: the verdicts decide most
+comparisons by a bound without calling irred_count, and a cache on it,
+factorize or gl2_order gained nothing.
 """
 
 from __future__ import annotations

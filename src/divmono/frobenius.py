@@ -69,19 +69,34 @@ def admissible_traces(p: int) -> list[int]:
 
 
 def enumerate_b(p: int, a_p: int) -> list[int]:
-    """All admissible indices b >= 1 for the trace a_p: b^2 must divide
-    a_p^2 - 4p and the quotient must be 0 or 1 mod 4.
+    """All admissible indices b >= 1 for the trace a_p, ascending: b^2 must
+    divide a_p^2 - 4p and the quotient must be 0 or 1 mod 4.
+
+    The b are read off the square divisors of D = 4p - a_p^2 >= 1 (no prime
+    is a square), in O(D^(1/3)) steps. Trial division removes every prime
+    d with d^3 <= c, the cofactor left so far. It stops with every prime
+    factor of c at least d > c^(1/3), so c has at most two prime factors,
+    counted with multiplicity; c then has a square divisor other than 1 only
+    when c = q^2 for a prime q, that is when isqrt(c)^2 = c > 1.
     """
     if not is_prime(p) or a_p * a_p > 4 * p:
         raise InputError(f"({p}, {a_p}) is not an admissible reduction datum")
     delta_pi = a_p * a_p - 4 * p
-    out = []
-    b = 1
-    while b * b <= -delta_pi:
-        if delta_pi % (b * b) == 0 and (delta_pi // (b * b)) % 4 in (0, 1):
-            out.append(b)
-        b += 1
-    return out
+    c = -delta_pi
+    roots = [1]  # every b with b^2 | D
+    d = 2
+    while d * d * d <= c:
+        if c % d == 0:
+            e = 0
+            while c % d == 0:
+                c //= d
+                e += 1
+            roots += [k * d**i for k in roots for i in range(1, e // 2 + 1)]
+        d += 1 if d == 2 else 2
+    r = math.isqrt(c)
+    if r > 1 and r * r == c:
+        roots += [k * r for k in roots]
+    return sorted(b for b in roots if (delta_pi // (b * b)) % 4 in (0, 1))
 
 
 def enumerate_data(p: int) -> list[FrobeniusDatum]:

@@ -40,6 +40,10 @@ INDEX_MAX = 10**11
 # Largest p_max that essential_divisor_scan() accepts. It counts points in
 # O(p) at every prime p <= p_max: 3.7 s at this limit, 13 s at 2 * 10^4.
 P_MAX = 10**4
+# Largest n_max that scan() accepts. A row factorizes gcds of size up to
+# about n_max^2 by trial division: the slowest table of any prime p < 400 at
+# this limit takes 0.8 s on a 2-core machine, and p = 23 at 10^9 takes 16 s.
+TABLE_N_MAX = 10**8
 
 
 class Classification(enum.Enum):
@@ -130,13 +134,47 @@ class ScanReport:
 
 
 def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
-    """test() every n in [2, n_max] coprime to p, keeping obstructions."""
+    """test() every n in [2, n_max] that can be obstructed, keeping the
+    obstructions, in increasing n.
+
+    The candidates are the divisors n <= n_max of g_f, the gcd of the
+    entries of sigma^f - I over Z, for f = 1, ..., F - 1, where F is the
+    least f with p^f >= 2 n_max^4. Then also p^ceil(F/2) >= 4: otherwise
+    p <= 3 and F <= 2, so p^F <= 9 < 2 * 2^4. g_f is never 0, since
+    det sigma^f = p^f, and no multiple of p divides it, since sigma^f = I
+    mod p would make p^f = 1 mod p.
+
+    Proof that every other n is unobstructed. sigma^f = I mod n iff n
+    divides every entry of sigma^f - I, so ord_n(sigma) | f iff n | g_f,
+    and every n with ord_n(sigma) < F is a candidate. An obstruction, red
+    included, needs ord * I_ord(p) < |GL2(Z/nZ)| (test() compares the capped
+    supply, and min(I, c) < c iff I < c), and |GL2(Z/nZ)| < n^4 <= n_max^4.
+    irred_count_capped's proof gives m * I_m(p) > p^m / 2 whenever
+    p^ceil(m/2) >= 4, which holds for every m >= F. So ord >= F gives
+    ord * I_ord(p) > p^ord / 2 >= p^F / 2 >= n_max^4, and n is not
+    obstructed.
+    """
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")
+    if n_max > TABLE_N_MAX:
+        raise InputError(f"n_max must be <= {TABLE_N_MAX}, got {n_max}")
+    p = datum.p
+    (s11, s12), (s21, s22) = sigma(datum)
+    a, b, c, d = s11, s12, s21, s22  # sigma^f, from f = 1
+    candidates = set()
+    f = 1
+    while p**f < 2 * n_max**4:  # f < F
+        divisors = [1]
+        for q, e in factorize(math.gcd(a - 1, b, c, d - 1)):
+            divisors += [k * q**i for k in divisors for i in range(1, e + 1)
+                         if k * q**i <= n_max]
+        candidates.update(divisors)
+        a, b, c, d = (a * s11 + b * s21, a * s12 + b * s22,
+                      c * s11 + d * s21, c * s12 + d * s22)
+        f += 1
+    candidates.discard(1)
     hits = []
-    for n in range(2, n_max + 1):
-        if math.gcd(n, datum.p) != 1:
-            continue
+    for n in sorted(candidates):
         verdict = test(datum, n, ImageAssumption.FULL_GL2)
         if verdict.classification is not Classification.NO_OBSTRUCTION:
             hits.append(verdict)
@@ -173,7 +211,7 @@ def supersingular_check(p: int) -> SupersingularCheck:
     """
     if p <= 3:
         raise InputError(f"supersingular check requires p > 3, got {p}")
-    if p + 1 > N_MAX:  # before enumerate_b, which loops b up to 2 sqrt(p)
+    if p + 1 > N_MAX:  # test() would reject n = p + 1; say so in terms of p
         raise InputError(f"n = p + 1 must be <= {N_MAX}, got p = {p}")
     verdicts = [test(FrobeniusDatum(p, 0, b), p + 1) for b in enumerate_b(p, 0)]
     v = verdicts[0]  # b = 1 is always admissible

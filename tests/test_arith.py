@@ -130,6 +130,13 @@ class TestIrredCount:
 
 
 class TestIrredCountCapped:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_supply_exceeds_half_of_p_to_the_m(self, p):
+        # the inequality that the bound here and obstruction.scan's pruning use
+        for m in range(1, 81):
+            if p ** ((m + 1) // 2) >= 4:
+                assert 2 * m * irred_count(m, p) > p**m, (m, p)
+
     def test_equals_the_exact_supply_capped(self):
         for p in (2, 3, 5, 7, 11, 13, 97):
             for m in range(1, 61):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from divmono.cli import main
+from divmono.obstruction import TABLE_N_MAX
 
 
 def run(capsys, *argv):
@@ -121,6 +122,13 @@ class TestTable:
             assert list(v) == ["p", "a_p", "b_p", "n", "residue_degree",
                                "num_primes", "irred_supply", "classification"]
 
+    def test_n_max_past_the_limit_exits_2(self, capsys):
+        # at 10^9 one row of p = 23 takes about 9 s
+        start = time.perf_counter()
+        code, _, err = run(capsys, "table", "--p", "23", "--n-max", str(TABLE_N_MAX + 1))
+        assert code == 2 and "n_max must be <=" in err
+        assert time.perf_counter() - start < 1
+
 
 class TestCurve:
     def test_daniels_confirmed(self, capsys):
@@ -169,7 +177,7 @@ class TestTheoremCommands:
         assert "p > 3" in err
 
     def test_supersingular_past_the_limit_exits_2(self, capsys):
-        # the least prime with p + 1 > 10^14; enumerating its b alone takes seconds
+        # the least prime with p + 1 > 10^14
         start = time.perf_counter()
         code, _, err = run(capsys, "supersingular", "--p", "100000000000031")
         assert code == 2 and "n = p + 1 must be <=" in err

@@ -1,6 +1,9 @@
+import random
+import time
+
 import pytest
 
-from divmono.arith import primes_up_to
+from divmono.arith import is_prime, primes_up_to
 from divmono.errors import InputError
 from divmono.frobenius import (
     FrobeniusDatum,
@@ -30,6 +33,19 @@ class TestAdmissibleTraces:
             admissible_traces(10)
 
 
+def enumerate_b_by_loop(p, a_p):
+    """Every b up to sqrt(4p - a_p^2) tried in turn: enumerate_b before it
+    read b off the square divisors; test oracle."""
+    delta_pi = a_p * a_p - 4 * p
+    out = []
+    b = 1
+    while b * b <= -delta_pi:
+        if delta_pi % (b * b) == 0 and (delta_pi // (b * b)) % 4 in (0, 1):
+            out.append(b)
+        b += 1
+    return out
+
+
 class TestEnumerateB:
     def test_squarefree_discriminant(self):
         # a = 1 at p = 2 gives discriminant -7, so the index is forced to 1
@@ -51,6 +67,36 @@ class TestEnumerateB:
         # Z[sqrt(-p)] and Z[(1+sqrt(-p))/2] occur
         expected = [1] if p % 4 == 1 else [1, 2]
         assert enumerate_b(p, 0) == expected
+
+    @pytest.mark.parametrize("p", primes_up_to(600))
+    def test_matches_the_loop_on_every_trace(self, p):
+        for a in admissible_traces(p):
+            assert enumerate_b(p, a) == enumerate_b_by_loop(p, a), a
+
+    def test_matches_the_loop_on_a_large_square_prime_factor(self):
+        # D = 4p - a^2 = k * q^2 with k < q leaves the cofactor q^2 after
+        # trial division, the isqrt branch; b = q is then admissible, since
+        # -k = a^2 mod 4
+        rng = random.Random(3)
+        primes = primes_up_to(2000)[100:]
+        cases = 0
+        while cases < 20:
+            q, k, a = rng.choice(primes), rng.randint(1, 40), rng.randint(-2000, 2000)
+            if (a * a + k * q * q) % 4 == 0 and is_prime(p := (a * a + k * q * q) // 4):
+                got = enumerate_b(p, a)
+                assert got == enumerate_b_by_loop(p, a) and q in got, (p, a)
+                cases += 1
+
+    def test_large_prime(self):
+        # b^2 | 4p only for b = 1, 2 with the 14-digit prime p = 1 mod 4,
+        # and -4p / 4 = -p = 3 mod 4 rules out b = 2; trial division to
+        # sqrt(p) instead of p^(1/3) would take seconds
+        start = time.perf_counter()
+        assert enumerate_b(99999999999973, 0) == [1]
+        assert time.perf_counter() - start < 0.5
+        p = 9999999967
+        for a in (-199999, -3, 0, 1, 2, 77777, 199998):
+            assert enumerate_b(p, a) == enumerate_b_by_loop(p, a), a
 
 
 class TestSigma:

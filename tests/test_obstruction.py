@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -12,6 +13,7 @@ from divmono.errors import InputError
 from divmono.frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
 from divmono.gl2 import order_mod
 from divmono.obstruction import (
+    TABLE_N_MAX,
     Classification,
     CurvePrimeStatus,
     ImageAssumption,
@@ -141,7 +143,47 @@ class TestSupplyBound:
                     assert _printed_supply(v) == printed, (datum, n)
 
 
+def exact_scan(datum, n_max):
+    """test() every n in [2, n_max] coprime to p, keeping obstructions: the
+    scan as it was before it tested only the divisors of the g_f; test oracle."""
+    hits = []
+    for n in range(2, n_max + 1):
+        if math.gcd(n, datum.p) != 1:
+            continue
+        v = verdict(datum, n, FULL)
+        if v.classification is not Classification.NO_OBSTRUCTION:
+            hits.append(v)
+    return tuple(hits)
+
+
 class TestScan:
+    def test_matches_every_verdict_of_the_five_tables(self, all_verdicts):
+        for (p, a, b), row in all_verdicts.items():
+            want = tuple(v for _, v in sorted(row.items())
+                         if v.classification is not Classification.NO_OBSTRUCTION)
+            assert scan(FrobeniusDatum(p, a, b), 999).obstructed == want, (p, a, b)
+
+    def test_matches_the_exact_scan_on_random_data(self):
+        rng = random.Random(11)
+        primes = primes_up_to(97)
+        for _ in range(25):
+            p = rng.choice(primes)
+            datum = rng.choice(enumerate_data(p))
+            n_max = rng.randint(2, 3000)
+            assert scan(datum, n_max).obstructed == exact_scan(datum, n_max), (datum, n_max)
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4])
+    def test_matches_the_exact_scan_at_the_smallest_n_max(self, n_max):
+        for p in primes_up_to(97):
+            for datum in enumerate_data(p):
+                assert scan(datum, n_max).obstructed == exact_scan(datum, n_max), datum
+
+    def test_rejects_n_max_out_of_range(self):
+        with pytest.raises(InputError, match="n_max must be >= 2"):
+            scan(FrobeniusDatum(2, 1, 1), 1)
+        with pytest.raises(InputError, match="n_max must be <="):
+            scan(FrobeniusDatum(2, 1, 1), TABLE_N_MAX + 1)
+
     def test_row_a2_1(self):
         report = scan(FrobeniusDatum(2, 1, 1), 999)
         assert entries(report) == [(11, Classification.OBSTRUCTION)]
