@@ -5,7 +5,7 @@ A matrix mod m is a flat tuple (a, b, c, d) of ints in [0, m), standing for
 integral matrix ((a, b), (c, d)) as frobenius.sigma returns it. The order
 is found locally at each prime power q^e || n by stripping primes from a
 multiple of it that the eigenvalues mod q give, and the local orders combine
-by lcm; the same walk over n gives |GL2(Z/nZ)|.
+by lcm.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import factorize, gl2_order
+from .arith import factorize
 from .errors import ArithmeticBug, InputError
 
 IDENTITY = (1, 0, 0, 1)
@@ -41,13 +41,14 @@ def mat_pow(M: tuple, k: int, m: int) -> tuple:
     return result
 
 
-def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> tuple[int, int]:
-    """(least k >= 1 with M^k = I mod n, |GL2(Z/nZ)|), for an integral
-    matrix M = ((a, b), (c, d)) that is invertible mod n.
+def order_mod(M: tuple[tuple[int, int], tuple[int, int]],
+              factors: tuple[tuple[int, int], ...]) -> int:
+    """Least k >= 1 with M^k = I mod n, for an integral matrix
+    M = ((a, b), (c, d)) invertible mod n, given factorize(n).
 
-    One factorization of n gives both: the local orders at each prime power
-    q^e || n recombine by lcm, and gl2_order multiplies the local group orders.
+    The local orders at each prime power q^e || n recombine by lcm.
     """
+    n = math.prod(q**e for q, e in factors)
     if n < 2:
         raise InputError(f"modulus must be >= 2, got {n}")
     (a, b), (c, d) = M
@@ -57,14 +58,16 @@ def order_mod(M: tuple[tuple[int, int], tuple[int, int]], n: int) -> tuple[int, 
             f"matrix {(a % n, b % n, c % n, d % n)} mod {n} is not invertible "
             f"(det {det % n})"
         )
-    factors = factorize(n)
     order = 1
     for q, e in factors:
         m = q**e
         order = math.lcm(order, _order_prime_power((a % m, b % m, c % m, d % m), q, e))
-    return order, gl2_order(factors)
+    return order
 
 
+# Serves the curve scans of one process, whose Frobenius matrices at many
+# primes reduce to the same M mod q^e, and the tests' exact-path loops;
+# table rows read their orders off sigma^f - I and never get here.
 @lru_cache(maxsize=65536)
 def _order_prime_power(M: tuple, q: int, e: int) -> int:
     """Order of M, reduced mod q^e, in GL2(Z/q^eZ).

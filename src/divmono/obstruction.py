@@ -44,6 +44,10 @@ P_MAX = 10**4
 # about n_max^2 by trial division: the slowest table of any prime p < 400 at
 # this limit takes 0.8 s on a 2-core machine, and p = 23 at 10^9 takes 16 s.
 TABLE_N_MAX = 10**8
+# Largest p that full_table() accepts. A table has about sqrt(p) rows per
+# trace: the slowest p near this limit takes 0.44 s and writes 8,576 lines at
+# n_max = 999, and 1.25 s at TABLE_N_MAX; p near 10^7 takes 5.9 s there.
+TABLE_P_MAX = 10**6
 
 
 class Classification(enum.Enum):
@@ -91,26 +95,33 @@ def test(
         raise InputError(f"n must be <= {N_MAX}, got {n}")
     if math.gcd(n, datum.p) != 1:
         raise InputError(f"n = {n} is not coprime to p = {datum.p}")
-    ord_sigma, full_degree = order_mod(sigma(datum), n)
-    if full_degree % ord_sigma != 0:
-        raise ArithmeticBug(f"order {ord_sigma} does not divide |GL2| for n={n}")
-    degree = full_degree
+    factors = factorize(n)
+    return _compare(datum, n, order_mod(sigma(datum), factors), gl2_order(factors), image)
+
+
+def _compare(datum: FrobeniusDatum, n: int, order: int, group_order: int,
+             image: ImageAssumption) -> Verdict:
+    """The verdict at n, given order = ord_n(sigma) and group_order =
+    |GL2(Z/nZ)|: every verdict in the package is decided here."""
+    if group_order % order != 0:
+        raise ArithmeticBug(f"order {order} does not divide |GL2| for n={n}")
+    degree = group_order
     if image is ImageAssumption.INDEX2_SUBGROUP:
         degree //= 2
-        if degree % ord_sigma != 0:
+        if degree % order != 0:
             # no index-2 subgroup of GL2(Z/nZ) contains this Frobenius
             # class, so the halved degree model is inconsistent here
             raise InputError(
                 f"index-2 image assumption is inconsistent at n={n}: "
-                f"order {ord_sigma} does not divide {degree}"
+                f"order {order} does not divide {degree}"
             )
 
     # With c = |GL2|/ord (ord divides |GL2|), min(I, c) < c iff I < c and
     # min(I, c) < c/2 iff I < c/2: the capped supply decides both images.
-    supply = irred_count_capped(ord_sigma, datum.p, full_degree // ord_sigma)
-    if 2 * supply * ord_sigma < full_degree:
+    supply = irred_count_capped(order, datum.p, group_order // order)
+    if 2 * supply * order < group_order:
         cls = Classification.OBSTRUCTION
-    elif image is ImageAssumption.FULL_GL2 and supply * ord_sigma < full_degree:
+    elif image is ImageAssumption.FULL_GL2 and supply * order < group_order:
         cls = Classification.OBSTRUCTION_ONLY_FULL_IMAGE
     else:
         cls = Classification.NO_OBSTRUCTION
@@ -119,8 +130,8 @@ def test(
         a_p=datum.a_p,
         b_p=datum.b_p,
         n=n,
-        residue_degree=ord_sigma,
-        num_primes=degree // ord_sigma,
+        residue_degree=order,
+        num_primes=degree // order,
         classification=cls,
     )
 
@@ -134,8 +145,8 @@ class ScanReport:
 
 
 def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
-    """test() every n in [2, n_max] that can be obstructed, keeping the
-    obstructions, in increasing n.
+    """The verdict of every n in [2, n_max] that can be obstructed, keeping
+    the obstructions, in increasing n.
 
     The candidates are the divisors n <= n_max of g_f, the gcd of the
     entries of sigma^f - I over Z, for f = 1, ..., F - 1, where F is the
@@ -153,6 +164,9 @@ def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
     p^ceil(m/2) >= 4, which holds for every m >= F. So ord >= F gives
     ord * I_ord(p) > p^ord / 2 >= p^F / 2 >= n_max^4, and n is not
     obstructed.
+
+    The least f < F with n | g_f is ord_n(sigma) itself, since ord | f iff
+    n | g_f and ord <= f < F; each candidate is compared at that order.
     """
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")
@@ -161,21 +175,22 @@ def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
     p = datum.p
     (s11, s12), (s21, s22) = sigma(datum)
     a, b, c, d = s11, s12, s21, s22  # sigma^f, from f = 1
-    candidates = set()
+    first_f = {}  # candidate n -> least f < F with n | g_f, that is ord_n(sigma)
     f = 1
     while p**f < 2 * n_max**4:  # f < F
         divisors = [1]
         for q, e in factorize(math.gcd(a - 1, b, c, d - 1)):
             divisors += [k * q**i for k in divisors for i in range(1, e + 1)
                          if k * q**i <= n_max]
-        candidates.update(divisors)
+        for n in divisors[1:]:
+            first_f.setdefault(n, f)
         a, b, c, d = (a * s11 + b * s21, a * s12 + b * s22,
                       c * s11 + d * s21, c * s12 + d * s22)
         f += 1
-    candidates.discard(1)
     hits = []
-    for n in sorted(candidates):
-        verdict = test(datum, n, ImageAssumption.FULL_GL2)
+    for n in sorted(first_f):
+        verdict = _compare(datum, n, first_f[n], gl2_order(factorize(n)),
+                           ImageAssumption.FULL_GL2)
         if verdict.classification is not Classification.NO_OBSTRUCTION:
             hits.append(verdict)
     return ScanReport(datum, tuple(hits))
@@ -183,6 +198,8 @@ def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
 
 def full_table(p: int, n_max: int) -> list[ScanReport]:
     """One ScanReport per admissible (a_p, b_p), in table row order."""
+    if p > TABLE_P_MAX:
+        raise InputError(f"p must be <= {TABLE_P_MAX}, got {p}")
     return [scan(datum, n_max) for datum in enumerate_data(p)]
 
 
@@ -289,7 +306,7 @@ def essential_divisor_scan(
     The endomorphism-order index of the actual curve is not computed, so
     an obstruction is CONFIRMED only when all admissible b agree; mixed
     verdicts (or verdicts that hold only under a surjective image) are
-    CONDITIONAL.
+    CONDITIONAL. n is limited to N_MAX and factorized once per scan.
     """
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
@@ -297,6 +314,10 @@ def essential_divisor_scan(
         raise InputError(f"p_max must be >= 2, got {p_max}")
     if p_max > P_MAX:
         raise InputError(f"p_max must be <= {P_MAX}, got {p_max}")
+    if n > N_MAX:
+        raise InputError(f"n must be <= {N_MAX}, got {n}")
+    factors = factorize(n)
+    group_order = gl2_order(factors)
     reports = []
     for p in primes_up_to(p_max):
         if n % p == 0:
@@ -310,10 +331,9 @@ def essential_divisor_scan(
             )
             continue
         a_p = trace_of_frobenius(curve, p)
-        verdicts = tuple(
-            test(FrobeniusDatum(p, a_p, b), n, ImageAssumption.FULL_GL2)
-            for b in enumerate_b(p, a_p)
-        )
+        data = [FrobeniusDatum(p, a_p, b) for b in enumerate_b(p, a_p)]
+        verdicts = tuple(_compare(d, n, order_mod(sigma(d), factors), group_order,
+                                  ImageAssumption.FULL_GL2) for d in data)
         classes = {v.classification for v in verdicts}
         if classes == {Classification.OBSTRUCTION}:
             status = CurvePrimeStatus.CONFIRMED

@@ -156,7 +156,7 @@ def test_criterion_6_property_suites():
         if math.gcd(a * d - b * c, n) != 1:
             continue
         m = ((a, b), (c, d))
-        if order_mod(m, n)[0] != order_naive(m, n):
+        if order_mod(m, factorize(n)) != order_naive(m, n):
             failures.append(("order", m, n))
         checked += 1
 

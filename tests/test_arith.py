@@ -8,7 +8,6 @@ from divmono.arith import (
     factorize, gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to,
 )
 from divmono.errors import InputError
-from divmono.gl2 import order_mod
 
 # the least strong pseudoprime to all of the first 13 prime bases
 PSI_13 = 3317044064679887385961981
@@ -91,7 +90,6 @@ class TestGl2Order:
     def test_matches_brute_force(self, n):
         group = brute_gl2_order(n)
         assert gl2_order(factorize(n)) == group
-        assert order_mod(((0, 1), (-1, 0)), n)[1] == group
 
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=2, max_value=60))
     def test_multiplicative_on_coprime(self, a, b):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from divmono.cli import main
-from divmono.obstruction import TABLE_N_MAX
+from divmono.obstruction import N_MAX, TABLE_N_MAX, TABLE_P_MAX
 
 
 def run(capsys, *argv):
@@ -129,6 +129,13 @@ class TestTable:
         assert code == 2 and "n_max must be <=" in err
         assert time.perf_counter() - start < 1
 
+    def test_p_past_the_limit_exits_2(self, capsys):
+        # the rows grow like sqrt(p); 1000003 is the least prime past the limit
+        start = time.perf_counter()
+        code, _, err = run(capsys, "table", "--p", "1000003", "--n-max", "999")
+        assert code == 2 and f"p must be <= {TABLE_P_MAX}" in err
+        assert time.perf_counter() - start < 1
+
 
 class TestCurve:
     def test_daniels_confirmed(self, capsys):
@@ -162,6 +169,12 @@ class TestCurve:
                            "--n", "11", "--p-max", "10001")
         assert code == 2 and "p_max must be <=" in err
         assert time.perf_counter() - start < 1
+
+    def test_n_past_the_limit_exits_2(self, capsys):
+        # p = 2 divides n, so no verdict is made; n is still checked up front
+        code, _, err = run(capsys, "curve", "--family", "daniels", "--t", "3",
+                           "--n", "2000000000000000", "--p-max", "2")
+        assert code == 2 and f"n must be <= {N_MAX}" in err
 
 
 class TestTheoremCommands:

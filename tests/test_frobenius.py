@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from divmono.arith import is_prime, primes_up_to
+from divmono.arith import factorize, is_prime, primes_up_to
 from divmono.errors import InputError
 from divmono.frobenius import (
     FrobeniusDatum,
@@ -159,7 +159,7 @@ class TestDatumValidation:
     def test_sigma_mod_requires_coprime(self):
         # det sigma = p, so sigma is not invertible mod n when p | n
         with pytest.raises(InputError):
-            order_mod(sigma(FrobeniusDatum(2, 1, 1)), 6)
+            order_mod(sigma(FrobeniusDatum(2, 1, 1)), factorize(6))
 
 
 def test_table_row_order_p7():

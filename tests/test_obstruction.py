@@ -29,6 +29,23 @@ FULL = ImageAssumption.FULL_GL2
 INDEX2 = ImageAssumption.INDEX2_SUBGROUP
 
 
+def count_factorize(monkeypatch):
+    """Record the argument of every factorize call from now on, in a list."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return factorize(m)
+
+    # every binding of factorize in the package, so calls between modules count
+    for name, module in list(sys.modules.items()):
+        if name == "divmono" or name.startswith("divmono."):
+            for attr, obj in list(vars(module).items()):
+                if obj is factorize:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 def entries(report):
     """A table row as (n, classification) pairs."""
     return [(v.n, v.classification) for v in report.obstructed]
@@ -58,18 +75,7 @@ class TestVerdicts:
             verdict(FrobeniusDatum(3, 0, 1), 1, FULL)
 
     def test_one_factorization_of_n_per_verdict(self, monkeypatch):
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return factorize(m)
-
-        # every binding of factorize in the package, so calls between modules count
-        for name, module in list(sys.modules.items()):
-            if name == "divmono" or name.startswith("divmono."):
-                for attr, obj in list(vars(module).items()):
-                    if obj is factorize:
-                        monkeypatch.setattr(module, attr, counted)
+        calls = count_factorize(monkeypatch)
         for n in (11, 45, 495, 997 * 9):
             for image in (FULL, INDEX2):
                 calls.clear()
@@ -107,7 +113,7 @@ def exact_supply(m, p):
 def exact_classification(datum, n, image):
     """The verdict's class from the exact supply, with no bound: the
     comparison test() made for every cell before the bound; test oracle."""
-    order = order_mod(sigma(datum), n)[0]
+    order = order_mod(sigma(datum), factorize(n))
     group = gl2_order(factorize(n))
     if image is INDEX2 and (group // 2) % order:
         return None  # test() rejects this n with InputError
@@ -317,6 +323,15 @@ class TestEssentialDivisorScan:
             (2, CurvePrimeStatus.SKIPPED_BAD_REDUCTION),
             (3, CurvePrimeStatus.SKIPPED_BAD_REDUCTION),
         ]
+
+    def test_one_factorization_of_n_per_scan(self, monkeypatch):
+        calls = count_factorize(monkeypatch)
+        for curve, n, p_max in ((daniels_t(3), 11, 50), (semistable_s(1), 15, 30),
+                                (uv(1, 2), 997 * 9, 20)):
+            calls.clear()
+            reports = essential_divisor_scan(curve, n, p_max)
+            assert sum(len(r.verdicts) for r in reports) > 1
+            assert calls.count(n) == 1
 
     def test_conditional_when_b_values_disagree(self):
         # p = 3, a_3 = 0 admits b in {1, 2}; at n = 2 only b = 2 obstructs
