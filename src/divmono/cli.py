@@ -2,9 +2,11 @@
 
 Subcommands: sigma, test, table, curve, supersingular, corollary.
 Output formats: text (default), csv, json. Exit codes: 0 success,
-2 invalid input, 3 internal arithmetic assertion failure. A supply with
-more digits than CPython prints (D = sys.get_int_max_str_digits()) is
-printed as the token >=10^D in every format.
+2 invalid input, 3 internal arithmetic assertion failure. D is CPython's
+int-to-str digit limit (sys.get_int_max_str_digits()), or its default 4300
+when the limit is off. A supply of more than D digits is printed as the
+token >=10^D in every format, and a curve whose discriminant has more than
+D digits is rejected as invalid input.
 
 All configuration is via flags; no environment variable is read.
 """
@@ -30,15 +32,21 @@ CSV_COLUMNS = [
 ]
 
 
+def _max_digits() -> int:
+    """D: CPython's int-to-str digit limit, or its default 4300 when the
+    limit is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _printed_supply(v: Verdict) -> int | str:
     """The verdict's supply as every format prints it: the exact integer,
-    or the token >=10^D when it has more digits than CPython's int-to-str
-    limit D. The supply is at most p^m < 2^(m * bitlen(p)), which is below
-    8^D <= 10^D unless m * bitlen(p) > 3D; past that it is capped at 10^D,
-    so a supply far past the limit is never computed."""
-    digits = sys.get_int_max_str_digits()
+    or the token >=10^D when it has more than D digits. The supply is at
+    most p^m < 2^(m * bitlen(p)), which is below 8^D <= 10^D unless
+    m * bitlen(p) > 3D; past that it is capped at 10^D, so a supply far
+    past the limit is never computed."""
+    digits = _max_digits()
     m, p = v.residue_degree, v.p
-    if not digits or m * p.bit_length() <= 3 * digits:
+    if m * p.bit_length() <= 3 * digits:
         return v.irred_supply
     limit = 10**digits
     supply = irred_count_capped(m, p, limit)
@@ -137,6 +145,9 @@ def _build_curve(args) -> curves.WeierstrassCurve:
 
 def cmd_curve(args):
     curve = _build_curve(args)
+    digits = _max_digits()
+    if abs(curve.disc) >= 10**digits:
+        raise InputError(f"the curve's discriminant has more than {digits} digits")
     reports = obstruction.essential_divisor_scan(curve, args.n, args.p_max)
     inputs = {"curve": list(curve.coeffs()), "n": args.n, "p_max": args.p_max}
     rows = [_verdict_row(v) for r in reports for v in r.verdicts]
@@ -156,25 +167,21 @@ def cmd_curve(args):
 
 def cmd_supersingular(args):
     check = obstruction.supersingular_check(args.p)
-    fields = dataclasses.asdict(check)
-    del fields["p"]
     orders = ", ".join(str(o) for o in check.orders)
-    line = (f"p={check.p} n={check.p + 1}: orders ({orders}); "
+    line = (f"p={args.p} n={args.p + 1}: orders ({orders}); "
             f"{check.num_primes_full} primes vs {check.irred_supply} "
             f"irreducible quadratics; "
             f"{'obstructed' if check.obstructed else 'not obstructed'}")
-    return {"p": args.p}, fields, [line]
+    return {"p": args.p}, dataclasses.asdict(check), [line]
 
 
 def cmd_corollary(args):
     result = obstruction.corollary_threshold(args.index)
-    fields = dataclasses.asdict(result)
-    del fields["index"]
-    line = (f"index={result.index}: first prime p={result.prime} "
+    line = (f"index={args.index}: first prime p={result.prime} "
             f"({result.exact_lhs} primes vs {result.irred_supply} "
             f"irreducible quadratics); "
             f"closed-form bound first holds at p={result.bound_prime}")
-    return {"index": args.index}, fields, [line]
+    return {"index": args.index}, dataclasses.asdict(result), [line]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,14 +60,6 @@ class FrobeniusDatum:
         return self.delta_end % 4
 
 
-def admissible_traces(p: int) -> list[int]:
-    """All traces a with a^2 <= 4p, ascending."""
-    if not is_prime(p):
-        raise InputError(f"p = {p} is not prime")
-    bound = math.isqrt(4 * p)
-    return list(range(-bound, bound + 1))
-
-
 def enumerate_b(p: int, a_p: int) -> list[int]:
     """All admissible indices b >= 1 for the trace a_p, ascending: b^2 must
     divide a_p^2 - 4p and the quotient must be 0 or 1 mod 4.
@@ -101,14 +93,17 @@ def enumerate_b(p: int, a_p: int) -> list[int]:
 
 def enumerate_data(p: int) -> list[FrobeniusDatum]:
     """All admissible data for p, in table order: grouped by |a_p|, then
-    by b_p ascending, positive trace before negative.
+    by b_p ascending, positive trace before negative. enumerate_b depends
+    on a_p only through a_p^2, so each |a_p| is walked once.
     """
-    data = [
-        FrobeniusDatum(p, a, b)
-        for a in admissible_traces(p)
-        for b in enumerate_b(p, a)
-    ]
-    data.sort(key=lambda d: (abs(d.a_p), d.b_p, 0 if d.a_p >= 0 else 1))
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not prime")
+    data = []
+    for a in range(math.isqrt(4 * p) + 1):
+        for b in enumerate_b(p, a):
+            data.append(FrobeniusDatum(p, a, b))
+            if a:
+                data.append(FrobeniusDatum(p, -a, b))
     return data
 
 

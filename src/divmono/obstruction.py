@@ -50,6 +50,14 @@ TABLE_N_MAX = 10**8
 TABLE_P_MAX = 10**6
 
 
+def _check_range(name: str, value: int, low: int, high: int):
+    """Raise InputError unless low <= value <= high."""
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise InputError(f"{name} must be <= {high}, got {value}")
+
+
 class Classification(enum.Enum):
     OBSTRUCTION = "obstruction"
     OBSTRUCTION_ONLY_FULL_IMAGE = "red"
@@ -89,10 +97,7 @@ def test(
     verdict is binary for that smaller degree. n is limited to N_MAX,
     because factorizing n is trial division.
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
-    if n > N_MAX:
-        raise InputError(f"n must be <= {N_MAX}, got {n}")
+    _check_range("n", n, 2, N_MAX)
     if math.gcd(n, datum.p) != 1:
         raise InputError(f"n = {n} is not coprime to p = {datum.p}")
     factors = factorize(n)
@@ -168,10 +173,7 @@ def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
     The least f < F with n | g_f is ord_n(sigma) itself, since ord | f iff
     n | g_f and ord <= f < F; each candidate is compared at that order.
     """
-    if n_max < 2:
-        raise InputError(f"n_max must be >= 2, got {n_max}")
-    if n_max > TABLE_N_MAX:
-        raise InputError(f"n_max must be <= {TABLE_N_MAX}, got {n_max}")
+    _check_range("n_max", n_max, 2, TABLE_N_MAX)
     p = datum.p
     (s11, s12), (s21, s22) = sigma(datum)
     a, b, c, d = s11, s12, s21, s22  # sigma^f, from f = 1
@@ -208,7 +210,6 @@ class SupersingularCheck:
     """Orders of the supersingular Frobenius matrices mod p+1 and the
     obstruction comparison at n = p + 1."""
 
-    p: int
     orders: tuple[int, ...]  # one per admissible b (b=1, and b=2 if p = 3 mod 4)
     num_primes_full: int
     irred_supply: int
@@ -233,7 +234,6 @@ def supersingular_check(p: int) -> SupersingularCheck:
     verdicts = [test(FrobeniusDatum(p, 0, b), p + 1) for b in enumerate_b(p, 0)]
     v = verdicts[0]  # b = 1 is always admissible
     return SupersingularCheck(
-        p=p,
         orders=tuple(w.residue_degree for w in verdicts),
         num_primes_full=v.num_primes,
         irred_supply=v.irred_supply,
@@ -245,7 +245,6 @@ def supersingular_check(p: int) -> SupersingularCheck:
 class CorollaryThreshold:
     """Least supersingular-style threshold prime for a given adelic index."""
 
-    index: int
     prime: int  # least p > 3 passing the exact group-order criterion
     exact_lhs: int  # |GL2(Z/(p+1)Z)| / (4 * index) at that prime, floor
     irred_supply: int
@@ -261,10 +260,7 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
     is evaluated alongside for comparison; it can disagree at small p
     where (p+1)^4 overestimates the group order.
     """
-    if index < 1:
-        raise InputError(f"index must be >= 1, got {index}")
-    if index > INDEX_MAX:
-        raise InputError(f"index must be <= {INDEX_MAX}, got {index}")
+    _check_range("index", index, 1, INDEX_MAX)
     prime = bound_prime = None
     p = 3
     while prime is None or bound_prime is None:
@@ -278,7 +274,7 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
                 prime = p
         if bound_prime is None and 3 * (p + 1) ** 4 > 16 * index * (p * p - p):
             bound_prime = p
-    return CorollaryThreshold(index, prime, group // (4 * index), supply, bound_prime)
+    return CorollaryThreshold(prime, group // (4 * index), supply, bound_prime)
 
 
 class CurvePrimeStatus(enum.Enum):
@@ -308,14 +304,8 @@ def essential_divisor_scan(
     verdicts (or verdicts that hold only under a surjective image) are
     CONDITIONAL. n is limited to N_MAX and factorized once per scan.
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
-    if p_max < 2:
-        raise InputError(f"p_max must be >= 2, got {p_max}")
-    if p_max > P_MAX:
-        raise InputError(f"p_max must be <= {P_MAX}, got {p_max}")
-    if n > N_MAX:
-        raise InputError(f"n must be <= {N_MAX}, got {n}")
+    _check_range("n", n, 2, N_MAX)
+    _check_range("p_max", p_max, 2, P_MAX)
     factors = factorize(n)
     group_order = gl2_order(factors)
     reports = []

@@ -1,18 +1,39 @@
+import contextlib
 import csv
 import io
 import json
+import signal
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from divmono import curves
 from divmono.cli import main
-from divmono.obstruction import N_MAX, TABLE_N_MAX, TABLE_P_MAX
+from divmono.frobenius import enumerate_data
+from divmono.obstruction import INDEX_MAX, N_MAX, P_MAX, TABLE_N_MAX, TABLE_P_MAX
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def interrupt_after(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`, so
+    that a hang fails the test instead of stalling the suite."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSigma:
@@ -73,6 +94,20 @@ class TestTest:
                     else json.loads(out)["verdicts"])
             assert [r["irred_supply"] for r in rows] == [">=10^4300"]
         assert elapsed < 0.05, f"{elapsed:.3f} s"
+
+    @pytest.mark.parametrize("p,a,n", [("11", "6", "997"), ("2", "1", "99999999999973")])
+    def test_supply_is_a_token_when_the_digit_limit_is_off(self, capsys, p, a, n):
+        # with no int-to-str limit, D falls back to CPython's default; the
+        # exact supplies have about a million and 10^13 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with interrupt_after(5):
+                code, out, err = run(capsys, "test", "--p", p, "--a", a, "--b", "1", "--n", n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        assert "irred_supply=>=10^4300)" in out
 
     def test_non_coprime_exits_2(self, capsys):
         code, _, err = run(capsys, "test", "--p", "3", "--a", "0", "--b", "1", "--n", "6")
@@ -177,6 +212,19 @@ class TestCurve:
         assert code == 2 and f"n must be <= {N_MAX}" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--a1", "0", "--a2", "0", "--a3", "0", "--a4", "7" * 1501, "--a6", "0",
+         "--n", "11", "--p-max", "3"],
+        ["--family", "daniels", "--t", "3" * 2201, "--n", "11", "--p-max", "3",
+         "--format", "csv"],
+    ])
+    def test_discriminant_past_the_digit_limit_exits_2(self, capsys, argv):
+        # the text line carries disc, which CPython would refuse to print
+        code, out, err = run(capsys, "curve", *argv)
+        assert (code, out) == (2, "")
+        assert "discriminant has more than 4300 digits" in err
+
+
 class TestTheoremCommands:
     def test_supersingular(self, capsys):
         code, out, _ = run(capsys, "supersingular", "--p", "7")
@@ -212,3 +260,70 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+# psi_13: the least strong pseudoprime to the first 13 prime bases, where
+# is_prime stops deciding
+PSI_13 = 3317044064679887385961981
+# Integers at every boundary of the CLI: each limit and one past it. P_MAX
+# and INDEX_MAX themselves are left out: a valid curve scan to P_MAX or a
+# corollary at INDEX_MAX takes 1.5-4 s by design, past the budget of this
+# whole test. Small integers make valid calls common.
+EDGES = [0, 1, -1, 2, N_MAX, N_MAX + 1, INDEX_MAX + 1, P_MAX + 1,
+         TABLE_N_MAX, TABLE_N_MAX + 1, TABLE_P_MAX, TABLE_P_MAX + 1, PSI_13]
+edge = (st.sampled_from(EDGES) | st.integers(-12, 12)).map(str)
+# curve coefficients whose discriminant may pass 4300 digits
+coefficient = edge | st.builds(lambda digits, sign: str(sign * (10 ** (digits - 1) + 7)),
+                               st.integers(1400, 4300), st.sampled_from([1, -1]))
+FORMATS = {"sigma": ("text", "json"), "test": ("text", "csv", "json"),
+           "table": ("text", "csv", "json"), "curve": ("text", "csv", "json"),
+           "supersingular": ("text", "json"), "corollary": ("text", "json")}
+
+
+def joined(*parts):
+    """One argv list from strategies of argv lists."""
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+def flags(**values):
+    return joined(*(value.map(lambda v, flag=f"--{name.replace('_', '-')}": [flag, v])
+                    for name, value in values.items()))
+
+
+# half the (p, a, b) are admissible, so that sigma and test reach a verdict
+datum = flags(p=edge, a=edge, b=edge) | st.sampled_from(
+    [["--p", str(d.p), "--a", str(d.a_p), "--b", str(d.b_p)]
+     for p in (2, 3, 5, 7, 11) for d in enumerate_data(p)])
+family = st.sampled_from(sorted(curves.FAMILIES)).flatmap(lambda name: joined(
+    st.just(["--family", name]),
+    flags(**{param: coefficient for param in curves.FAMILIES[name][1]})))
+
+ARGS = {
+    "sigma": datum,
+    "test": joined(datum, flags(n=edge, image=st.sampled_from(["full", "index2"]))),
+    "table": flags(p=edge, n_max=edge),
+    "curve": joined(family | flags(a1=coefficient, a2=coefficient, a3=coefficient,
+                                   a4=coefficient, a6=coefficient),
+                    flags(n=edge, p_max=edge)),
+    "supersingular": flags(p=edge),
+    "corollary": flags(index=edge),
+}
+
+
+@pytest.mark.parametrize("command", list(ARGS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exit_code_contract(command, data):
+    """Any integers at the boundaries, any format: exit 0, 2 or 3, with no
+    exception but argparse's SystemExit(2), within 5 s a call."""
+    argv = [command, *data.draw(ARGS[command]),
+            "--format", data.draw(st.sampled_from(FORMATS[command]))]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with interrupt_after(5), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2, argv
+    assert code in (0, 2, 3), argv

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -7,7 +8,6 @@ from divmono.arith import factorize, is_prime, primes_up_to
 from divmono.errors import InputError
 from divmono.frobenius import (
     FrobeniusDatum,
-    admissible_traces,
     enumerate_b,
     enumerate_data,
     sigma,
@@ -16,21 +16,11 @@ from divmono.gl2 import order_mod
 
 
 class TestAdmissibleTraces:
-    def test_p2(self):
-        assert admissible_traces(2) == [-2, -1, 0, 1, 2]
-        assert [a for a in admissible_traces(2) if a % 2 == 0] == [-2, 0, 2]
-
-    def test_p3(self):
-        assert admissible_traces(3) == list(range(-3, 4))
-        assert [a for a in admissible_traces(3) if a % 3 == 0] == [-3, 0, 3]
-
-    def test_p11(self):
-        assert admissible_traces(11) == list(range(-6, 7))
-        assert [a for a in admissible_traces(11) if a % 11 == 0] == [0]
+    """enumerate_data's walk over the traces a with a^2 <= 4p."""
 
     def test_rejects_composite(self):
-        with pytest.raises(InputError):
-            admissible_traces(10)
+        with pytest.raises(InputError, match="p = 10 is not prime"):
+            enumerate_data(10)
 
 
 def enumerate_b_by_loop(p, a_p):
@@ -70,7 +60,8 @@ class TestEnumerateB:
 
     @pytest.mark.parametrize("p", primes_up_to(600))
     def test_matches_the_loop_on_every_trace(self, p):
-        for a in admissible_traces(p):
+        bound = math.isqrt(4 * p)
+        for a in range(-bound, bound + 1):
             assert enumerate_b(p, a) == enumerate_b_by_loop(p, a), a
 
     def test_matches_the_loop_on_a_large_square_prime_factor(self):
