@@ -129,16 +129,29 @@ def cmd_table(args):
     return inputs, {"verdicts": rows}, lines
 
 
+COEFFICIENTS = ("a1", "a2", "a3", "a4", "a6")
+# every family's parameter names, each once, in registry order
+PARAMETERS = tuple(dict.fromkeys(n for _, names in curves.FAMILIES.values() for n in names))
+
+
 def _build_curve(args) -> curves.WeierstrassCurve:
+    """The curve of --family and its parameters, or of --a1..--a6; a flag
+    that the chosen way does not use is invalid input, not ignored."""
     if args.family is not None:
         ctor, names = curves.FAMILIES[args.family]
+        for name in COEFFICIENTS + PARAMETERS:
+            if name not in names and getattr(args, name) is not None:
+                raise InputError(f"--{name} is not used with --family {args.family}")
         params = [getattr(args, name) for name in names]
         if None in params:
             flags = " and ".join(f"--{name}" for name in names)
             raise InputError(f"family {args.family} requires {flags}")
         return ctor(*params)
-    coeffs = (args.a1, args.a2, args.a3, args.a4, args.a6)
-    if any(c is None for c in coeffs):
+    for name in PARAMETERS:
+        if getattr(args, name) is not None:
+            raise InputError(f"--{name} is used only with --family")
+    coeffs = [getattr(args, name) for name in COEFFICIENTS]
+    if None in coeffs:
         raise InputError("supply either --family or all of --a1..--a6")
     return curves.WeierstrassCurve(*coeffs)
 
@@ -218,9 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="essential-divisor scan for a curve")
     p.add_argument("--family", choices=curves.FAMILIES)
-    for name in dict.fromkeys(n for _, names in curves.FAMILIES.values() for n in names):
-        p.add_argument(f"--{name}", type=int)
-    for name in ("a1", "a2", "a3", "a4", "a6"):
+    for name in PARAMETERS + COEFFICIENTS:
         p.add_argument(f"--{name}", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p-max", type=int, required=True)

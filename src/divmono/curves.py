@@ -11,6 +11,7 @@ p divides the discriminant (no minimal-model computation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import is_prime
 from .errors import InputError
@@ -31,8 +32,10 @@ class WeierstrassCurve:
         if self.disc == 0:
             raise InputError(f"singular curve: discriminant is 0 for {self.coeffs()}")
 
-    @property
+    @cached_property
     def disc(self) -> int:
+        """The discriminant, computed once per curve: a scan reads it at
+        every prime."""
         return invariants(*self.coeffs())[1]
 
     def coeffs(self) -> tuple[int, int, int, int, int]:

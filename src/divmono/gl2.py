@@ -5,7 +5,7 @@ A matrix mod m is a flat tuple (a, b, c, d) of ints in [0, m), standing for
 integral matrix ((a, b), (c, d)) as frobenius.sigma returns it. The order
 is found locally at each prime power q^e || n by stripping primes from a
 multiple of it that the eigenvalues mod q give, and the local orders combine
-by lcm.
+by lcm. The primes stripped are those of |GL2(F_q)|, found once per q.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ def order_mod(M: tuple[tuple[int, int], tuple[int, int]],
     return order
 
 
+# Factorizing q - 1 and q + 1 is trial division to sqrt(q), 0.5-0.7 s for a q
+# near N_MAX, and a curve scan asks for the same few q at every p and b.
+@lru_cache(maxsize=1024)
+def _group_primes(q: int) -> frozenset[int]:
+    """The primes of |GL2(F_q)| = q(q - 1)^2(q + 1), {2, 3} for q = 2."""
+    return frozenset({q}.union(r for part in (q - 1, q + 1) for r, _ in factorize(part)))
+
+
 # Serves the curve scans of one process, whose Frobenius matrices at many
 # primes reduce to the same M mod q^e, and the tests' exact-path loops;
 # table rows read their orders off sigma^f - I and never get here.
@@ -79,26 +87,26 @@ def _order_prime_power(M: tuple, q: int, e: int) -> int:
     q(q - 1) when delta = 0 (M = lambda(I + N') with N' nilpotent, so
     (I + N')^q = I). For q = 2 it divides 6, the exponent of GL2(F_2) = S3.
     The kernel of reduction mod q has exponent q^(e-1), since
-    (I + q^j X)^q = I mod q^(j+1). For each prime r^k || N, the r-part of
-    the order is the least r^i with (M^(N/r^k))^(r^i) = I.
+    (I + q^j X)^q = I mod q^(j+1). So N = q^(e-1) times a divisor of
+    |GL2(F_q)|, and its primes are among _group_primes(q). For each prime
+    r^k || N, the r-part of the order is the least r^i with
+    (M^(N/r^k))^(r^i) = I.
     """
     m = q**e
     if q == 2:
-        multiple, parts = 3 * m, (3,)
+        multiple = 3 * m
     else:
         a, b, c, d = M
         t = a + d
         delta = (t * t - 4 * (a * d - b * c)) % q
         if delta == 0:
-            multiple, parts = m * (q - 1), (q - 1,)
+            multiple = m * (q - 1)
         elif pow(delta, (q - 1) // 2, q) == 1:
-            multiple, parts = m // q * (q - 1), (q - 1,)
+            multiple = m // q * (q - 1)
         else:
-            multiple, parts = m // q * (q * q - 1), (q - 1, q + 1)
-    # factored apart, q - 1 and q + 1 need trial division only to sqrt(q)
-    primes = {q}.union(r for part in parts for r, _ in factorize(part))
+            multiple = m // q * (q * q - 1)
     order = 1
-    for r in (r for r in primes if multiple % r == 0):
+    for r in (r for r in _group_primes(q) if multiple % r == 0):
         r_part = 1
         while multiple % (r_part * r) == 0:
             r_part *= r

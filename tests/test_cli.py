@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divmono import curves
+from divmono import curves, gl2
 from divmono.cli import main
 from divmono.frobenius import enumerate_data
 from divmono.obstruction import INDEX_MAX, N_MAX, P_MAX, TABLE_N_MAX, TABLE_P_MAX
@@ -172,6 +172,17 @@ class TestTable:
         assert time.perf_counter() - start < 1
 
 
+# a safe prime n = 2q' + 1 just below N_MAX, the slowest q - 1 to factorize
+SAFE_PRIME = "99999999995927"
+
+
+def clear_gl2_caches():
+    """Empty every cache of the gl2 module, so that a scan starts cold."""
+    for value in vars(gl2).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 class TestCurve:
     def test_daniels_confirmed(self, capsys):
         code, out, _ = run(capsys, "curve", "--family", "daniels", "--t", "3",
@@ -211,6 +222,40 @@ class TestCurve:
                            "--n", "2000000000000000", "--p-max", "2")
         assert code == 2 and f"n must be <= {N_MAX}" in err
 
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "daniels", "--t", "3", "--a1", "5"], "--a1"),
+        (["--family", "uv", "--u", "1", "--v", "2", "--s", "4"], "--s"),
+        (["--a1", "0", "--a2", "0", "--a3", "0", "--a4", "0", "--a6", "1", "--t", "7"],
+         "--t"),
+    ])
+    def test_stray_flag_exits_2(self, capsys, argv, flag):
+        # a coefficient with --family, another family's parameter, or a
+        # family parameter without --family
+        code, out, err = run(capsys, "curve", *argv, "--n", "11", "--p-max", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} ")
+
+    def test_safe_prime_n_scan_within_5_s(self, capsys):
+        # q - 1 = 2 * 49999999997963 needs trial division to 7 * 10^6
+        clear_gl2_caches()
+        with interrupt_after(5):
+            code, _, _ = run(capsys, "curve", "--family", "daniels", "--t", "3",
+                             "--n", SAFE_PRIME, "--p-max", "200")
+        assert code == 0
+
+    def test_safe_prime_n_scan_factorizes_q_minus_1_once(self, capsys, monkeypatch):
+        clear_gl2_caches()
+        factorize, seen = gl2.factorize, []
+
+        def counted(m):
+            seen.append(m)
+            return factorize(m)
+        monkeypatch.setattr(gl2, "factorize", counted)
+        code, out, _ = run(capsys, "curve", "--family", "daniels", "--t", "3",
+                           "--n", SAFE_PRIME, "--p-max", "13")
+        assert code == 0 and out.count("[b=") > 1
+        assert seen.count(int(SAFE_PRIME) - 1) == 1
 
     @pytest.mark.parametrize("argv", [
         ["--a1", "0", "--a2", "0", "--a3", "0", "--a4", "7" * 1501, "--a6", "0",

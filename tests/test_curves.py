@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from divmono import curves
 from divmono.arith import primes_up_to
 from divmono.curves import (
     FAMILIES,
@@ -15,6 +16,7 @@ from divmono.curves import (
     uv,
 )
 from divmono.errors import InputError
+from divmono.obstruction import essential_divisor_scan
 
 
 def count_points_naive(curve, p):
@@ -61,6 +63,19 @@ class TestInvariants:
     def test_rejects_singular(self):
         with pytest.raises(InputError):
             WeierstrassCurve(0, 0, 0, 0, 0)
+
+    def test_discriminant_is_computed_once_per_curve(self, monkeypatch):
+        # a scan reads disc twice at every good prime
+        calls = []
+
+        def counted(*coeffs):
+            calls.append(coeffs)
+            return invariants(*coeffs)
+        monkeypatch.setattr(curves, "invariants", counted)
+        curve = WeierstrassCurve(1, 0, 0, 10**1400 + 7, 3)
+        reports = essential_divisor_scan(curve, 11, 2000)
+        assert len(reports) == len(primes_up_to(2000))
+        assert calls == [curve.coeffs()]
 
     def test_b8_relation(self):
         rng = random.Random(1)

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from divmono.arith import factorize, gl2_order, primes_up_to
 from divmono.errors import InputError
 from divmono.frobenius import FrobeniusDatum, enumerate_b, sigma
-from divmono.gl2 import IDENTITY, _order_prime_power, mat_mul, mat_pow, order_mod
+from divmono.gl2 import (
+    IDENTITY,
+    _group_primes,
+    _order_prime_power,
+    mat_mul,
+    mat_pow,
+    order_mod,
+)
 
 
 def order_naive(M, n, cap=None):
@@ -148,6 +155,11 @@ class TestOrder:
         M, q, e = case
         if math.gcd(M[0] * M[3] - M[1] * M[2], q) == 1:
             assert _order_prime_power(M, q, e) == order_by_group_stripping(M, q, e)
+
+    def test_group_primes_are_the_primes_of_the_group_order(self):
+        for q in primes_up_to(997):
+            group = gl2_order(factorize(q))  # q (q - 1)^2 (q + 1)
+            assert _group_primes(q) == {r for r in primes_up_to(q + 1) if group % r == 0}
 
     def test_power_consistency(self):
         m = reduced(sigma(FrobeniusDatum(3, 1, 1)), 40)
