@@ -1,5 +1,6 @@
-"""Frobenius reduction data (p, a_p, b_p) and the integral matrix that
-represents the Frobenius class in every prime-to-p torsion field.
+"""Frobenius reduction data (p, a_p, b_p) and the Frobenius element
+pi = u + v w of the endomorphism order Z[w], whose multiplication represents
+the Frobenius class in every prime-to-p torsion field.
 
 The admissible (a_p, b_p) pairs are enumerated arithmetically: a_p runs
 over the Hasse range, and b_p over the indices whose square divides
@@ -107,26 +108,27 @@ def enumerate_data(p: int) -> list[FrobeniusDatum]:
     return data
 
 
-def sigma(datum: FrobeniusDatum) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The integral matrix representing the Frobenius class:
-
-        [ (a_p + b_p*delta)/2          b_p             ]
-        [ b_p*(delta_end - delta)/4    (a_p - b_p*delta)/2 ]
-
-    with trace a_p and determinant p. All divisions are exact for valid
-    data (delta matches the parities of a_p and b_p).
+def pi(datum: FrobeniusDatum) -> tuple[int, int, int, int]:
+    """The Frobenius element (a_p + b_p sqrt(delta_end))/2 as (u, v, delta, c):
+    pi = u + v w, where w = (delta + sqrt(delta_end))/2, delta = delta_parity,
+    w^2 = delta w + c, c = (delta_end - delta)/4, u = (a_p - b_p delta)/2 and
+    v = b_p. pi has trace 2u + v delta = a_p and norm u^2 + delta u v - c v^2 = p.
     """
-    a, b = datum.a_p, datum.b_p
-    delta = datum.delta_parity
-    top = a + b * delta
-    bot = a - b * delta
-    lower_left = b * (datum.delta_end - delta)
-    if top % 2 or bot % 2 or lower_left % 4:
-        raise ArithmeticBug(f"non-integral Frobenius matrix for {datum}")
-    mat = ((top // 2, b), (lower_left // 4, bot // 2))
-    tr = mat[0][0] + mat[1][1]
-    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if tr != a or det != datum.p:
-        raise ArithmeticBug(f"Frobenius matrix has wrong char poly for {datum}")
-    return mat
+    a, b, delta = datum.a_p, datum.b_p, datum.delta_parity
+    twice_u, four_c = a - b * delta, datum.delta_end - delta
+    if twice_u % 2 or four_c % 4:
+        raise ArithmeticBug(f"non-integral Frobenius element for {datum}")
+    u, v, c = twice_u // 2, b, four_c // 4
+    if 2 * u + v * delta != a or u * u + delta * u * v - c * v * v != datum.p:
+        raise ArithmeticBug(f"Frobenius element has wrong char poly for {datum}")
+    return u, v, delta, c
 
+
+def sigma(datum: FrobeniusDatum) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The Frobenius matrix ((u + v delta, v), (v c, u)), (u, v, delta, c) =
+    pi(datum), for output. Multiplication by pi sends 1 to u + v w and w to
+    v c + (u + v delta) w, so its matrix in the basis (1, w) is
+    [pi] = [[u, v c], [v, u + v delta]]; sigma is J [pi] J, J = [[0, 1], [1, 0]].
+    """
+    u, v, delta, c = pi(datum)
+    return ((u + v * delta, v), (v * c, u))

@@ -1,11 +1,12 @@
-"""2x2 matrices over Z/nZ and element orders in GL2(Z/nZ).
+"""Units of Z[w]/nZ[w], w^2 = delta w + c, and their orders.
 
-A matrix mod m is a flat tuple (a, b, c, d) of ints in [0, m), standing for
-[[a, b], [c, d]]. Only this module knows that layout: order_mod takes an
-integral matrix ((a, b), (c, d)) as frobenius.sigma returns it. The order
-is found locally at each prime power q^e || n by stripping primes from a
-multiple of it that the eigenvalues mod q give, and the local orders combine
-by lcm. The primes stripped are those of |GL2(F_q)|, found once per q.
+An element u + v w is the pair (u, v) of ints; mul is the one product, over
+Z or mod m. order_mod takes the Frobenius element pi = (u, v, delta, c) of
+frobenius.pi: its order mod n is that of the Frobenius matrix, a conjugate
+of multiplication by pi (see frobenius.sigma). The order is found locally at
+each prime power q^e || n by stripping the primes of |GL2(F_q)|, found once
+per q, from a multiple of it that the eigenvalues mod q give; the local
+orders combine by lcm.
 """
 
 from __future__ import annotations
@@ -16,52 +17,46 @@ from functools import lru_cache
 from .arith import factorize
 from .errors import ArithmeticBug, InputError
 
-IDENTITY = (1, 0, 0, 1)
+
+def mul(x: tuple[int, int], y: tuple[int, int], delta: int, c: int,
+        m: int = 0) -> tuple[int, int]:
+    """x * y for pairs x = u + v w, y in Z[w], w^2 = delta w + c: reduced
+    into [0, m) when m >= 2, over Z when m = 0."""
+    u1, v1 = x
+    u2, v2 = y
+    vv = v1 * v2
+    u, v = u1 * u2 + c * vv, u1 * v2 + u2 * v1 + delta * vv
+    return (u % m, v % m) if m else (u, v)
 
 
-def mat_mul(A: tuple, B: tuple, m: int) -> tuple:
-    """A * B mod m, entries reduced into [0, m)."""
-    a, b, c, d = A
-    e, f, g, h = B
-    return ((a * e + b * g) % m, (a * f + b * h) % m,
-            (c * e + d * g) % m, (c * f + d * h) % m)
-
-
-def mat_pow(M: tuple, k: int, m: int) -> tuple:
-    """M^k mod m by repeated squaring, for m >= 2."""
-    if k < 0:
-        raise InputError("negative powers not supported")
-    result = IDENTITY
-    base = M
+def power(x: tuple[int, int], k: int, delta: int, c: int, m: int) -> tuple[int, int]:
+    """x^k mod m by repeated squaring, for k >= 0 and m >= 2."""
+    result = (1, 0)
     while k:
         if k & 1:
-            result = mat_mul(result, base, m)
-        base = mat_mul(base, base, m)
+            result = mul(result, x, delta, c, m)
+        x = mul(x, x, delta, c, m)
         k >>= 1
     return result
 
 
-def order_mod(M: tuple[tuple[int, int], tuple[int, int]],
-              factors: tuple[tuple[int, int], ...]) -> int:
-    """Least k >= 1 with M^k = I mod n, for an integral matrix
-    M = ((a, b), (c, d)) invertible mod n, given factorize(n).
-
-    The local orders at each prime power q^e || n recombine by lcm.
+def order_mod(pi: tuple[int, int, int, int], factors: tuple[tuple[int, int], ...]) -> int:
+    """Least k >= 1 with pi^k = 1 mod n, for pi = (u, v, delta, c) standing
+    for u + v w with w^2 = delta w + c, given factorize(n). pi is a unit mod
+    n iff its norm u^2 + delta u v - c v^2 is prime to n. The local orders at
+    each prime power q^e || n recombine by lcm.
     """
     n = math.prod(q**e for q, e in factors)
     if n < 2:
         raise InputError(f"modulus must be >= 2, got {n}")
-    (a, b), (c, d) = M
-    det = a * d - b * c
-    if math.gcd(det, n) != 1:
-        raise InputError(
-            f"matrix {(a % n, b % n, c % n, d % n)} mod {n} is not invertible "
-            f"(det {det % n})"
-        )
+    u, v, delta, c = pi
+    norm = u * u + delta * u * v - c * v * v
+    if math.gcd(norm, n) != 1:
+        raise InputError(f"{u % n} + {v % n}w mod {n} is not a unit (norm {norm % n})")
     order = 1
     for q, e in factors:
         m = q**e
-        order = math.lcm(order, _order_prime_power((a % m, b % m, c % m, d % m), q, e))
+        order = math.lcm(order, _order_prime_power(u % m, v % m, delta % m, c % m, q, e))
     return order
 
 
@@ -73,35 +68,34 @@ def _group_primes(q: int) -> frozenset[int]:
     return frozenset({q}.union(r for part in (q - 1, q + 1) for r, _ in factorize(part)))
 
 
-# Serves the curve scans of one process, whose Frobenius matrices at many
-# primes reduce to the same M mod q^e, and the tests' exact-path loops;
-# table rows read their orders off sigma^f - I and never get here.
+# Serves the curve scans of one process, whose Frobenius elements at many
+# primes reduce to the same one mod q^e, and the tests' exact-path loops;
+# table rows read their orders off pi^f - 1 and never get here.
 @lru_cache(maxsize=65536)
-def _order_prime_power(M: tuple, q: int, e: int) -> int:
-    """Order of M, reduced mod q^e, in GL2(Z/q^eZ).
+def _order_prime_power(u: int, v: int, delta: int, c: int, q: int, e: int) -> int:
+    """Order of x = u + v w, w^2 = delta w + c, in (Z[w]/q^eZ[w])*.
 
-    The order divides a multiple N read off M mod q. For odd q, with trace
-    t, determinant d and delta = t^2 - 4d mod q, the order of M mod q divides
-    q - 1 when delta is a nonzero square (M is diagonalizable over F_q),
-    q^2 - 1 when delta is a non-square (F_q[M] is the field F_(q^2)), and
-    q(q - 1) when delta = 0 (M = lambda(I + N') with N' nilpotent, so
-    (I + N')^q = I). For q = 2 it divides 6, the exponent of GL2(F_2) = S3.
-    The kernel of reduction mod q has exponent q^(e-1), since
-    (I + q^j X)^q = I mod q^(j+1). So N = q^(e-1) times a divisor of
+    The order divides a multiple N read off x mod q. x is a root of its
+    characteristic polynomial, of discriminant disc = v^2 (delta^2 + 4c).
+    For odd q, the order of x mod q divides q - 1 when disc is a nonzero
+    square mod q (F_q[x] is F_q x F_q), q^2 - 1 when disc is a non-square
+    (F_q[x] is the field F_(q^2)), and q(q - 1) when disc = 0 mod q
+    (x = lambda + nu, lambda in F_q*, nu^2 = 0, so x^q = lambda). For q = 2
+    it divides 6, the exponent of GL2(F_2) = S3, which holds the matrix of
+    x. The kernel of reduction mod q has exponent q^(e-1), since
+    (1 + q^j y)^q = 1 mod q^(j+1). So N = q^(e-1) times a divisor of
     |GL2(F_q)|, and its primes are among _group_primes(q). For each prime
     r^k || N, the r-part of the order is the least r^i with
-    (M^(N/r^k))^(r^i) = I.
+    (x^(N/r^k))^(r^i) = 1.
     """
     m = q**e
     if q == 2:
         multiple = 3 * m
     else:
-        a, b, c, d = M
-        t = a + d
-        delta = (t * t - 4 * (a * d - b * c)) % q
-        if delta == 0:
+        disc = v * v * (delta * delta + 4 * c) % q
+        if disc == 0:
             multiple = m * (q - 1)
-        elif pow(delta, (q - 1) // 2, q) == 1:
+        elif pow(disc, (q - 1) // 2, q) == 1:
             multiple = m // q * (q - 1)
         else:
             multiple = m // q * (q * q - 1)
@@ -110,11 +104,11 @@ def _order_prime_power(M: tuple, q: int, e: int) -> int:
         r_part = 1
         while multiple % (r_part * r) == 0:
             r_part *= r
-        A = mat_pow(M, multiple // r_part, m)
-        while A != IDENTITY:
+        y = power((u, v), multiple // r_part, delta, c, m)
+        while y != (1, 0):
             if r_part == 1:
-                raise ArithmeticBug(f"order of {M} mod {m} does not divide {multiple}")
-            A = mat_pow(A, r, m)
+                raise ArithmeticBug(f"order of {u} + {v}w mod {m} does not divide {multiple}")
+            y = power(y, r, delta, c, m)
             order *= r
             r_part //= r
     return order

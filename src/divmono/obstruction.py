@@ -2,7 +2,7 @@
 
 For a reduction datum (p, a_p, b_p) and n coprime to p, the residue degree
 of every prime above p in the n-torsion field equals the order of the
-Frobenius matrix mod n. Modeling the field degree as |GL2(Z/nZ)| (or half
+Frobenius element pi mod n. Modeling the field degree as |GL2(Z/nZ)| (or half
 of it for an index-2 image), p splits into degree/order primes, all of
 residue degree ord. If F_p[x] has fewer irreducible polynomials of that
 degree than there are primes, p divides the index of every monogenic
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .arith import factorize, gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to
 from .curves import WeierstrassCurve, trace_of_frobenius
 from .errors import ArithmeticBug, InputError
-from .frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
-from .gl2 import order_mod
+from .frobenius import FrobeniusDatum, enumerate_b, enumerate_data, pi
+from .gl2 import mul, order_mod
 
 
 class ImageAssumption(enum.Enum):
@@ -103,12 +103,12 @@ def test(
     if math.gcd(n, datum.p) != 1:
         raise InputError(f"n = {n} is not coprime to p = {datum.p}")
     factors = factorize(n)
-    return _compare(datum, n, order_mod(sigma(datum), factors), gl2_order(factors), image)
+    return _compare(datum, n, order_mod(pi(datum), factors), gl2_order(factors), image)
 
 
 def _compare(datum: FrobeniusDatum, n: int, order: int, group_order: int,
              image: ImageAssumption) -> Verdict:
-    """The verdict at n, given order = ord_n(sigma) and group_order =
+    """The verdict at n, given order = ord_n(pi) and group_order =
     |GL2(Z/nZ)|: every verdict in the package is decided here."""
     if group_order % order != 0:
         raise ArithmeticBug(f"order {order} does not divide |GL2| for n={n}")
@@ -155,41 +155,43 @@ def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
     """The verdict of every n in [2, n_max] that can be obstructed, keeping
     the obstructions, in increasing n.
 
-    The candidates are the divisors n <= n_max of g_f, the gcd of the
-    entries of sigma^f - I over Z, for f = 1, ..., F - 1, where F is the
+    The candidates are the divisors n <= n_max of g_f = gcd(u_f - 1, v_f),
+    where pi^f = u_f + v_f w over Z, for f = 1, ..., F - 1, and F is the
     least f with p^f >= 2 n_max^4. Then also p^ceil(F/2) >= 4: otherwise
-    p <= 3 and F <= 2, so p^F <= 9 < 2 * 2^4. g_f is never 0, since
-    det sigma^f = p^f, and no multiple of p divides it, since sigma^f = I
+    p <= 3 and F <= 2, so p^F <= 9 < 2 * 2^4. g_f is never 0, since the
+    norm of pi^f is p^f, and no multiple of p divides it, since pi^f = 1
     mod p would make p^f = 1 mod p.
 
-    Proof that every other n is unobstructed. sigma^f = I mod n iff n
-    divides every entry of sigma^f - I, so ord_n(sigma) | f iff n | g_f,
-    and every n with ord_n(sigma) < F is a candidate. An obstruction, red
-    included, needs ord * I_ord(p) < |GL2(Z/nZ)| (test() compares the capped
-    supply, and min(I, c) < c iff I < c), and |GL2(Z/nZ)| < n^4 <= n_max^4.
+    Proof that every other n is unobstructed. The entries of pi^f - 1, as a
+    matrix in the basis (1, w), are u_f - 1, v_f c, v_f and
+    u_f - 1 + v_f delta, so pi^f = 1 mod n iff n | g_f, and g_f is also the
+    gcd of the entries of sigma^f - I, a conjugate of that matrix. So
+    ord_n(pi) | f iff n | g_f, and every n with ord_n(pi) < F is a
+    candidate. An obstruction, red included, needs
+    ord * I_ord(p) < |GL2(Z/nZ)| (test() compares the capped supply, and
+    min(I, cap) < cap iff I < cap), and |GL2(Z/nZ)| < n^4 <= n_max^4.
     irred_count_capped's proof gives m * I_m(p) > p^m / 2 whenever
     p^ceil(m/2) >= 4, which holds for every m >= F. So ord >= F gives
     ord * I_ord(p) > p^ord / 2 >= p^F / 2 >= n_max^4, and n is not
     obstructed.
 
-    The least f < F with n | g_f is ord_n(sigma) itself, since ord | f iff
+    The least f < F with n | g_f is ord_n(pi) itself, since ord | f iff
     n | g_f and ord <= f < F; each candidate is compared at that order.
     """
     _check_range("n_max", n_max, 2, TABLE_N_MAX)
     p = datum.p
-    (s11, s12), (s21, s22) = sigma(datum)
-    a, b, c, d = s11, s12, s21, s22  # sigma^f, from f = 1
-    first_f = {}  # candidate n -> least f < F with n | g_f, that is ord_n(sigma)
+    u, v, delta, c = pi(datum)
+    u_f, v_f = u, v  # pi^f, from f = 1
+    first_f = {}  # candidate n -> least f < F with n | g_f, that is ord_n(pi)
     f = 1
     while p**f < 2 * n_max**4:  # f < F
         divisors = [1]
-        for q, e in factorize(math.gcd(a - 1, b, c, d - 1)):
+        for q, e in factorize(math.gcd(u_f - 1, v_f)):
             divisors += [k * q**i for k in divisors for i in range(1, e + 1)
                          if k * q**i <= n_max]
         for n in divisors[1:]:
             first_f.setdefault(n, f)
-        a, b, c, d = (a * s11 + b * s21, a * s12 + b * s22,
-                      c * s11 + d * s21, c * s12 + d * s22)
+        u_f, v_f = mul((u_f, v_f), (u, v), delta, c)
         f += 1
     hits = []
     for n in sorted(first_f):
@@ -209,7 +211,7 @@ def full_table(p: int, n_max: int) -> list[ScanReport]:
 
 @dataclass(frozen=True)
 class SupersingularCheck:
-    """Orders of the supersingular Frobenius matrices mod p+1 and the
+    """Orders of the supersingular Frobenius elements mod p+1 and the
     obstruction comparison at n = p + 1."""
 
     orders: tuple[int, ...]  # one per admissible b (b=1, and b=2 if p = 3 mod 4)
@@ -223,9 +225,9 @@ def supersingular_check(p: int) -> SupersingularCheck:
     admissible b: the residue degrees, and the full-image count of primes
     against the supply of irreducible polynomials of that degree.
 
-    Every order is exactly 2. With a_p = 0, Cayley-Hamilton gives
-    sigma^2 = a_p sigma - p I = -p I, which is I mod p + 1; and sigma is not
-    I mod p + 1, since its trace 0 is not 2 mod p + 1 >= 6. So the
+    Every order is exactly 2. With a_p = 0, pi is a root of
+    x^2 - a_p x + p, so pi^2 = -p, which is 1 mod p + 1; and pi is not
+    1 mod p + 1, since its trace 0 is not 2 mod p + 1 >= 6. So the
     comparison is |GL2(Z/(p+1)Z)| / 2 primes against (p^2 - p) / 2
     irreducible quadratics, the same for every b.
     """
@@ -233,10 +235,11 @@ def supersingular_check(p: int) -> SupersingularCheck:
         raise InputError(f"supersingular check requires p > 3, got {p}")
     if p + 1 > N_MAX:  # test() would reject n = p + 1; say so in terms of p
         raise InputError(f"n = p + 1 must be <= {N_MAX}, got p = {p}")
-    verdicts = [test(FrobeniusDatum(p, 0, b), p + 1) for b in enumerate_b(p, 0)]
-    v = verdicts[0]  # b = 1 is always admissible
+    bs = enumerate_b(p, 0)  # rejects a composite p
+    v = _compare(FrobeniusDatum(p, 0, 1), p + 1, 2, gl2_order(factorize(p + 1)),
+                 ImageAssumption.FULL_GL2)
     return SupersingularCheck(
-        orders=tuple(w.residue_degree for w in verdicts),
+        orders=(2,) * len(bs),
         num_primes_full=v.num_primes,
         irred_supply=v.irred_supply,
         obstructed=v.classification is not Classification.NO_OBSTRUCTION,
@@ -324,7 +327,7 @@ def essential_divisor_scan(
             continue
         a_p = trace_of_frobenius(curve, p)
         data = [FrobeniusDatum(p, a_p, b) for b in enumerate_b(p, a_p)]
-        verdicts = tuple(_compare(d, n, order_mod(sigma(d), factors), group_order,
+        verdicts = tuple(_compare(d, n, order_mod(pi(d), factors), group_order,
                                   ImageAssumption.FULL_GL2) for d in data)
         classes = {v.classification for v in verdicts}
         if classes == {Classification.OBSTRUCTION}:

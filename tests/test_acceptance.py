@@ -32,7 +32,7 @@ from divmono.obstruction import (
 
 from golden_tables import GOLDEN, normalize
 from test_arith import brute_gl2_order
-from test_gl2 import order_naive
+from test_gl2 import matrix, norm, order_naive
 
 
 def report(num, desc: str, ok: bool, detail: str = ""):
@@ -147,17 +147,17 @@ def test_criterion_6_property_suites():
             if sum(d * irred_count(d, p) for d in sympy.divisors(m)) != p**m:
                 failures.append(("gauss", p, m))
 
-    # CRT order vs naive order, >= 1000 randomized invertible matrices
+    # CRT order vs naive matrix order, >= 1000 randomized units u + v w of
+    # Z[w]/nZ[w], w^2 = delta w + c, for integers delta and c
     rng = random.Random(2024)
     checked = 0
     while checked < 1000:
         n = rng.randrange(2, 61)
-        a, b, c, d = (rng.randrange(n) for _ in range(4))
-        if math.gcd(a * d - b * c, n) != 1:
+        x = tuple(rng.randrange(-99, 100) for _ in range(4))  # (u, v, delta, c)
+        if math.gcd(norm(x), n) != 1:
             continue
-        m = ((a, b), (c, d))
-        if order_mod(m, factorize(n)) != order_naive(m, n):
-            failures.append(("order", m, n))
+        if order_mod(x, factorize(n)) != order_naive(matrix(x), n):
+            failures.append(("order", x, n))
         checked += 1
 
     # Hasse bound on >= 500 randomized curves

@@ -10,6 +10,7 @@ from divmono.frobenius import (
     FrobeniusDatum,
     enumerate_b,
     enumerate_data,
+    pi,
     sigma,
 )
 from divmono.gl2 import order_mod
@@ -112,6 +113,16 @@ class TestSigma:
             assert s11 + s22 == datum.a_p
             assert s11 * s22 - s12 * s21 == p
 
+    @pytest.mark.parametrize("p", primes_up_to(200))
+    def test_read_off_pi_with_trace_and_norm(self, p):
+        for datum in enumerate_data(p):
+            u, v, delta, c = pi(datum)
+            assert delta == datum.delta_parity and v == datum.b_p
+            assert delta * delta + 4 * c == datum.delta_end
+            assert 2 * u + v * delta == datum.a_p
+            assert u * u + delta * u * v - c * v * v == p
+            assert sigma(datum) == ((u + v * delta, v), (v * c, u))
+
     @pytest.mark.parametrize("p", [p for p in primes_up_to(97) if p > 3])
     def test_supersingular_forms(self, p):
         assert sigma(FrobeniusDatum(p, 0, 1)) == ((0, 1), (-p, 0))
@@ -148,9 +159,9 @@ class TestDatumValidation:
                     assert (s11 * s22 - s12 * s21) % n == p % n
 
     def test_sigma_mod_requires_coprime(self):
-        # det sigma = p, so sigma is not invertible mod n when p | n
+        # pi has norm p, so it is not a unit mod n when p | n
         with pytest.raises(InputError):
-            order_mod(sigma(FrobeniusDatum(2, 1, 1)), factorize(6))
+            order_mod(pi(FrobeniusDatum(2, 1, 1)), factorize(6))
 
 
 def test_table_row_order_p7():

@@ -10,8 +10,8 @@ from divmono.arith import factorize, gl2_order, irred_count, primes_up_to
 from divmono.cli import _printed_supply
 from divmono.curves import WeierstrassCurve, daniels_t, semistable_s, uv
 from divmono.errors import InputError
-from divmono.frobenius import FrobeniusDatum, enumerate_b, enumerate_data, sigma
-from divmono.gl2 import order_mod
+from divmono.frobenius import FrobeniusDatum, enumerate_b, enumerate_data, pi, sigma
+from divmono.gl2 import mul, order_mod
 from divmono.obstruction import (
     TABLE_N_MAX,
     Classification,
@@ -24,6 +24,7 @@ from divmono.obstruction import (
     supersingular_check,
 )
 from divmono.obstruction import test as verdict  # "test" confuses pytest collection
+from test_gl2 import mat_mul
 
 FULL = ImageAssumption.FULL_GL2
 INDEX2 = ImageAssumption.INDEX2_SUBGROUP
@@ -113,7 +114,7 @@ def exact_supply(m, p):
 def exact_classification(datum, n, image):
     """The verdict's class from the exact supply, with no bound: the
     comparison test() made for every cell before the bound; test oracle."""
-    order = order_mod(sigma(datum), factorize(n))
+    order = order_mod(pi(datum), factorize(n))
     group = gl2_order(factorize(n))
     if image is INDEX2 and (group // 2) % order:
         return None  # test() rejects this n with InputError
@@ -184,6 +185,22 @@ class TestScan:
             for datum in enumerate_data(p):
                 assert scan(datum, n_max).obstructed == exact_scan(datum, n_max), datum
 
+    def test_content_of_pi_f_minus_1_is_that_of_sigma_f_minus_identity(self):
+        # gcd(u_f - 1, v_f) for pi^f = u_f + v_f w over Z, as scan reads it,
+        # against the gcd of the entries of sigma^f - I, for every f < F
+        for p in (2, 3, 5, 7, 11):
+            for datum in enumerate_data(p):
+                u, v, delta, c = pi(datum)
+                u_f, v_f = u, v
+                S = M = sigma(datum)
+                f = 1
+                while p**f < 2 * 999**4:
+                    (a, b), (c_f, d) = M
+                    assert math.gcd(u_f - 1, v_f) == math.gcd(a - 1, b, c_f, d - 1), (datum, f)
+                    u_f, v_f = mul((u_f, v_f), (u, v), delta, c)
+                    M = mat_mul(M, S)
+                    f += 1
+
     def test_rejects_n_max_out_of_range(self):
         with pytest.raises(InputError, match="n_max must be >= 2"):
             scan(FrobeniusDatum(2, 1, 1), 1)
@@ -241,6 +258,22 @@ class TestSupersingular:
             assert check.num_primes_full == gl2_order(factorize(p + 1)) // 2
             assert check.irred_supply == (p * p - p) // 2
             assert check.obstructed == (check.num_primes_full > check.irred_supply)
+
+    @pytest.mark.parametrize(
+        "primes", [[p for p in primes_up_to(2000) if p >= 5], [99999999999931]],
+        ids=["p<2000", "p=99999999999931"])
+    def test_matches_a_verdict_per_b(self, primes):
+        # test() at n = p + 1 for every admissible b, as supersingular_check
+        # computed it before it used its own proof; test oracle
+        for p in primes:
+            check = supersingular_check(p)
+            for b in enumerate_b(p, 0):
+                v = verdict(FrobeniusDatum(p, 0, b), p + 1)
+                assert v.residue_degree == 2, (p, b)
+                assert (v.classification is not Classification.NO_OBSTRUCTION) == \
+                    check.obstructed, (p, b)
+                assert (v.num_primes, v.irred_supply) == \
+                    (check.num_primes_full, check.irred_supply), (p, b)
 
     def test_counts_at_five(self):
         check = supersingular_check(5)
