@@ -12,6 +12,7 @@ order: an essential discriminant divisor.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +35,12 @@ class ImageAssumption(enum.Enum):
 # so a prime n just below this limit takes about 1.2 s on a 2-core machine;
 # the paper's tables stop at n = 999.
 N_MAX = 10**14
-# Largest index that corollary_threshold() accepts. The search walks every
-# integer up to about 2.3 sqrt(index): 1.7 s at this limit, 6 s at 10^12.
-INDEX_MAX = 10**11
+# Largest index that corollary_threshold() accepts. It factorizes p + 1 by
+# trial division for each prime p it tests, with p about 2.31 sqrt(index):
+# the slowest of 300 indices just below this limit, 9969968247344058328230,
+# takes 0.27 s on a 2-core machine, and the slowest just below 10^24 0.55 s.
+# is_prime's psi_13 caps p far above this.
+INDEX_MAX = 10**22
 # Largest p_max that essential_divisor_scan() accepts. It counts points in
 # O(p) at every prime p <= p_max: 3.7 s at this limit, 13 s at 2 * 10^4. The
 # worst n, a safe prime just below N_MAX, takes 5-7 s at this limit: its
@@ -257,29 +261,37 @@ class CorollaryThreshold:
 
 
 def corollary_threshold(index: int) -> CorollaryThreshold:
-    """Search primes p > 3 for the first one where an adelic image of
-    index `index` still forces more primes above p than irreducible
-    quadratics: |GL2(Z/(p+1)Z)| / (2 * index * 2) > irred(2, p).
+    """The least prime p > 3 where an adelic image of index `index` still
+    forces more primes above p than irreducible quadratics:
+    |GL2(Z/(p+1)Z)| > 4 * index * irred(2, p), and the least prime p > 3
+    meeting the closed-form bound 3 (p+1)^4 > 16 * index * (p^2 - p).
 
-    The closed-form lower-bound version (3/(16*index))*(p+1)^4 > p^2 - p
-    is evaluated alongside for comparison; it can disagree at small p
-    where (p+1)^4 overestimates the group order.
+    Proof that bound_prime <= prime. For p > 3, p + 1 is even, so
+    |GL2(Z/(p+1)Z)| = (p+1)^4 * prod over q | p + 1 of (1 - 1/q^2)(1 - 1/q)
+    <= (p+1)^4 * (3/4)(1/2), and irred(2, p) = (p^2 - p) / 2. So the exact
+    criterion implies 3 (p+1)^4 / 8 > 2 * index * (p^2 - p), the bound.
+
+    The bound holds at every integer from the least p >= 4 that meets it:
+    the ratio 3 (p+1)^4 / (16 (p^2 - p)) increases for p >= 3, since its
+    log-derivative 4/(p+1) - (2p-1)/(p^2-p) has the sign of 2p^2 - 5p + 1.
+    Bisection finds that p at or below 4 * index + 4, which meets the
+    bound: any p with 3p^2 >= 16 * index does, as (p+1)^4 > p^2 (p^2 - p).
+    bound_prime is the least prime at or above it, and the exact criterion
+    is tested prime by prime from there.
     """
     _check_range("index", index, 1, INDEX_MAX)
-    prime = bound_prime = None
-    p = 3
-    while prime is None or bound_prime is None:
-        p += 1
-        if not is_prime(p):
-            continue
-        if prime is None:
-            # once prime is found, group and supply keep their values there
-            group, supply = gl2_order(factorize(p + 1)), irred_count(2, p)
-            if group > 4 * index * supply:
-                prime = p
-        if bound_prime is None and 3 * (p + 1) ** 4 > 16 * index * (p * p - p):
-            bound_prime = p
-    return CorollaryThreshold(prime, group // (4 * index), supply, bound_prime)
+    low, high = 4, 4 * index + 4  # high meets the bound
+    while low < high:
+        mid = (low + high) // 2
+        if 3 * (mid + 1) ** 4 > 16 * index * (mid * mid - mid):
+            high = mid
+        else:
+            low = mid + 1
+    bound_prime = next(filter(is_prime, itertools.count(low)))
+    for p in filter(is_prime, itertools.count(bound_prime)):
+        group, supply = gl2_order(factorize(p + 1)), irred_count(2, p)
+        if group > 4 * index * supply:
+            return CorollaryThreshold(p, group // (4 * index), supply, bound_prime)
 
 
 class CurvePrimeStatus(enum.Enum):

@@ -296,7 +296,7 @@ class TestTheoremCommands:
 
     def test_corollary_past_the_limit_exits_2(self, capsys):
         start = time.perf_counter()
-        code, _, err = run(capsys, "corollary", "--index", "100000000001")
+        code, _, err = run(capsys, "corollary", "--index", str(INDEX_MAX + 1))
         assert code == 2 and "index must be <=" in err
         assert time.perf_counter() - start < 1
 
@@ -311,10 +311,9 @@ def test_unknown_subcommand_exits_2(capsys):
 # is_prime stops deciding
 PSI_13 = 3317044064679887385961981
 # Integers at every boundary of the CLI: each limit and one past it. P_MAX
-# and INDEX_MAX themselves are left out: a valid curve scan to P_MAX or a
-# corollary at INDEX_MAX takes 1.5-4 s by design, past the budget of this
-# whole test. Small integers make valid calls common.
-EDGES = [0, 1, -1, 2, N_MAX, N_MAX + 1, INDEX_MAX + 1, P_MAX + 1,
+# itself is left out: a valid curve scan to P_MAX takes 1.5-4 s by design,
+# past the budget of this whole test. Small integers make valid calls common.
+EDGES = [0, 1, -1, 2, N_MAX, N_MAX + 1, INDEX_MAX, INDEX_MAX + 1, P_MAX + 1,
          TABLE_N_MAX, TABLE_N_MAX + 1, TABLE_P_MAX, TABLE_P_MAX + 1, PSI_13]
 edge = (st.sampled_from(EDGES) | st.integers(-12, 12)).map(str)
 # curve coefficients whose discriminant may pass 4300 digits

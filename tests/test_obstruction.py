@@ -1,20 +1,21 @@
 import math
 import random
 import sys
-import tracemalloc
 from functools import lru_cache
 
 import pytest
 
-from divmono.arith import factorize, gl2_order, irred_count, primes_up_to
+from divmono.arith import factorize, gl2_order, irred_count, is_prime, primes_up_to
 from divmono.cli import _printed_supply
 from divmono.curves import WeierstrassCurve, daniels_t, semistable_s, uv
 from divmono.errors import InputError
 from divmono.frobenius import FrobeniusDatum, enumerate_b, enumerate_data, pi, sigma
 from divmono.gl2 import mul, order_mod
 from divmono.obstruction import (
+    INDEX_MAX,
     TABLE_N_MAX,
     Classification,
+    CorollaryThreshold,
     CurvePrimeStatus,
     ImageAssumption,
     corollary_threshold,
@@ -24,6 +25,7 @@ from divmono.obstruction import (
     supersingular_check,
 )
 from divmono.obstruction import test as verdict  # "test" confuses pytest collection
+from test_cli import interrupt_after
 from test_gl2 import mat_mul
 
 FULL = ImageAssumption.FULL_GL2
@@ -285,6 +287,25 @@ class TestSupersingular:
             supersingular_check(3)
 
 
+def corollary_walk(index):
+    """corollary_threshold by one walk over every integer from 4, testing
+    the exact criterion and the closed-form bound side by side."""
+    prime = bound_prime = None
+    p = 3
+    while prime is None or bound_prime is None:
+        p += 1
+        if not is_prime(p):
+            continue
+        if prime is None:
+            # once prime is found, group and supply keep their values there
+            group, supply = gl2_order(factorize(p + 1)), irred_count(2, p)
+            if group > 4 * index * supply:
+                prime = p
+        if bound_prime is None and 3 * (p + 1) ** 4 > 16 * index * (p * p - p):
+            bound_prime = p
+    return CorollaryThreshold(prime, group // (4 * index), supply, bound_prime)
+
+
 class TestCorollary:
     def test_index_one(self):
         result = corollary_threshold(1)
@@ -312,19 +333,22 @@ class TestCorollary:
         with pytest.raises(InputError):
             corollary_threshold(0)
 
-    def test_search_keeps_no_per_integer_state(self):
-        # the search walks every integer up to p ~ sqrt(2 * index); whatever
-        # it leaves allocated must not grow with that walk
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = corollary_threshold(10**8)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+    def test_matches_the_joint_walk(self):
+        # every index to 3000, and 40 indices spread over the scales of
+        # [10^4, 10^9] (uniform in log index)
+        rng = random.Random(19)
+        sample = [round(10 ** rng.uniform(4, 9)) for _ in range(40)]
+        for index in [*range(1, 3001), *sample]:
+            result = corollary_threshold(index)
+            assert result == corollary_walk(index), index
+            assert result.bound_prime <= result.prime
+
+    def test_search_at_index_max_within_1_s(self):
+        result = corollary_threshold(10**8)
         assert (result.prime, result.exact_lhs, result.irred_supply, result.bound_prime) == (
             23131, 268379224, 267510015, 23099)
-        assert kept < 2_000_000, f"{kept} bytes kept"
+        with interrupt_after(1):
+            corollary_threshold(INDEX_MAX)
 
 
 class TestEssentialDivisorScan:
