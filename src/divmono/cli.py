@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -185,7 +184,7 @@ def cmd_supersingular(args):
             f"{check.num_primes_full} primes vs {check.irred_supply} "
             f"irreducible quadratics; "
             f"{'obstructed' if check.obstructed else 'not obstructed'}")
-    return {"p": args.p}, dataclasses.asdict(check), [line]
+    return {"p": args.p}, check._asdict(), [line]
 
 
 def cmd_corollary(args):
@@ -194,7 +193,7 @@ def cmd_corollary(args):
             f"({result.exact_lhs} primes vs {result.irred_supply} "
             f"irreducible quadratics); "
             f"closed-form bound first holds at p={result.bound_prime}")
-    return {"index": args.index}, dataclasses.asdict(result), [line]
+    return {"index": args.index}, result._asdict(), [line]
 
 
 def build_parser() -> argparse.ArgumentParser:

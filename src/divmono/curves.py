@@ -10,36 +10,31 @@ p divides the discriminant (no minimal-model computation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 from .arith import is_prime
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6 disc")):
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer
-    coefficients and nonzero discriminant."""
+    coefficients and nonzero discriminant. Built from the five
+    coefficients; the discriminant disc is computed once, at construction,
+    because a scan reads it at every prime."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.disc == 0:
-            raise InputError(f"singular curve: discriminant is 0 for {self.coeffs()}")
+    def __new__(cls, a1: int, a2: int, a3: int, a4: int, a6: int):
+        disc = invariants(a1, a2, a3, a4, a6)[1]
+        if disc == 0:
+            raise InputError(f"singular curve: discriminant is 0 for {(a1, a2, a3, a4, a6)}")
+        return super().__new__(cls, a1, a2, a3, a4, a6, disc)
 
-    @cached_property
-    def disc(self) -> int:
-        """The discriminant, computed once per curve: a scan reads it at
-        every prime."""
-        return invariants(*self.coeffs())[1]
+    def __getnewargs__(self):  # copy and pickle rebuild from the coefficients
+        return self.coeffs()
 
     def coeffs(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return self[:5]
 
     def has_good_reduction(self, p: int) -> bool:
         return self.disc % p != 0

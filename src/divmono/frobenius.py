@@ -12,14 +12,13 @@ such pair is realized by some curve over F_p, so table rows are keyed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import is_prime
 from .errors import ArithmeticBug, InputError
 
 
-@dataclass(frozen=True)
-class FrobeniusDatum:
+class FrobeniusDatum(namedtuple("FrobeniusDatum", "p a_p b_p")):
     """Reduction datum (p, a_p, b_p) with derived discriminants.
 
     delta_pi = a_p^2 - 4p is the discriminant of x^2 - a_p x + p;
@@ -28,12 +27,10 @@ class FrobeniusDatum:
     Construction rejects an inadmissible datum with InputError.
     """
 
-    p: int
-    a_p: int
-    b_p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, a_p, b_p = self.p, self.a_p, self.b_p
+    def __new__(cls, p: int, a_p: int, b_p: int):
+        self = super().__new__(cls, p, a_p, b_p)
         if not is_prime(p):
             raise InputError(f"p = {p} is not prime")
         if a_p * a_p > 4 * p:
@@ -47,6 +44,7 @@ class FrobeniusDatum:
                 f"delta_end = {self.delta_end} is not 0 or 1 mod 4; "
                 f"b_p = {b_p} is not an admissible index for (p, a_p) = ({p}, {a_p})"
             )
+        return self
 
     @property
     def delta_pi(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import factorize, gl2_order, irred_count, irred_count_capped, is_prime, primes_up_to
 from .curves import WeierstrassCurve, trace_of_frobenius
@@ -51,8 +51,10 @@ P_MAX = 10**4
 # this limit takes 0.8 s on a 2-core machine, and p = 23 at 10^9 takes 16 s.
 TABLE_N_MAX = 10**8
 # Largest p that full_table() accepts. A table has about sqrt(p) rows per
-# trace: the slowest p near this limit takes 0.44 s and writes 8,576 lines at
-# n_max = 999, and 1.25 s at TABLE_N_MAX; p near 10^7 takes 5.9 s there.
+# trace, up to about 8,600 lines at n_max = 999. The slowest p found below
+# this limit, 868561 (of 60 random primes in [20000, 10^6)), takes 0.9-1.5 s
+# as a CLI call at TABLE_N_MAX on a 2-core machine, against 0.4-0.5 s for
+# p = 999983; p near 10^7 takes 5.9 s there.
 TABLE_P_MAX = 10**6
 
 
@@ -70,17 +72,10 @@ class Classification(enum.Enum):
     NO_OBSTRUCTION = "no_obstruction"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "p a_p b_p n residue_degree num_primes classification")):
     """Outcome of the splitting-versus-supply comparison for one (datum, n)."""
 
-    p: int
-    a_p: int
-    b_p: int
-    n: int
-    residue_degree: int
-    num_primes: int
-    classification: Classification
+    __slots__ = ()
 
     @property
     def irred_supply(self) -> int:
@@ -147,12 +142,11 @@ def _compare(datum: FrobeniusDatum, n: int, order: int, group_order: int,
     )
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """All obstructed n of a scan for one datum: one table row."""
+class ScanReport(namedtuple("ScanReport", "datum obstructed")):
+    """All obstructed n of a scan for one datum, a tuple of Verdicts in
+    increasing n: one table row."""
 
-    datum: FrobeniusDatum
-    obstructed: tuple[Verdict, ...]
+    __slots__ = ()
 
 
 def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
@@ -213,15 +207,13 @@ def full_table(p: int, n_max: int) -> list[ScanReport]:
     return [scan(datum, n_max) for datum in enumerate_data(p)]
 
 
-@dataclass(frozen=True)
-class SupersingularCheck:
-    """Orders of the supersingular Frobenius elements mod p+1 and the
-    obstruction comparison at n = p + 1."""
+class SupersingularCheck(namedtuple("SupersingularCheck",
+                                   "orders num_primes_full irred_supply obstructed")):
+    """Orders of the supersingular Frobenius elements mod p+1, one per
+    admissible b (b=1, and b=2 if p = 3 mod 4), and the obstruction
+    comparison at n = p + 1."""
 
-    orders: tuple[int, ...]  # one per admissible b (b=1, and b=2 if p = 3 mod 4)
-    num_primes_full: int
-    irred_supply: int
-    obstructed: bool
+    __slots__ = ()
 
 
 def supersingular_check(p: int) -> SupersingularCheck:
@@ -250,14 +242,15 @@ def supersingular_check(p: int) -> SupersingularCheck:
     )
 
 
-@dataclass(frozen=True)
-class CorollaryThreshold:
-    """Least supersingular-style threshold prime for a given adelic index."""
+class CorollaryThreshold(namedtuple("CorollaryThreshold",
+                                    "prime exact_lhs irred_supply bound_prime")):
+    """Least supersingular-style threshold prime for a given adelic index:
+    prime, the least p > 3 passing the exact group-order criterion;
+    exact_lhs, the floor of |GL2(Z/(p+1)Z)| / (4 * index) at that prime;
+    and bound_prime, the least p > 3 satisfying the
+    (3/16 I)(p+1)^4 > p^2 - p bound."""
 
-    prime: int  # least p > 3 passing the exact group-order criterion
-    exact_lhs: int  # |GL2(Z/(p+1)Z)| / (4 * index) at that prime, floor
-    irred_supply: int
-    bound_prime: int  # least p > 3 satisfying the (3/16 I)(p+1)^4 > p^2 - p bound
+    __slots__ = ()
 
 
 def corollary_threshold(index: int) -> CorollaryThreshold:
@@ -302,12 +295,11 @@ class CurvePrimeStatus(enum.Enum):
     SKIPPED_DIVIDES_N = "skipped_divides_n"
 
 
-@dataclass(frozen=True)
-class CurvePrimeReport:
-    p: int
-    a_p: int | None
-    status: CurvePrimeStatus
-    verdicts: tuple[Verdict, ...]  # one per admissible b, empty if skipped
+class CurvePrimeReport(namedtuple("CurvePrimeReport", "p a_p status verdicts")):
+    """One prime of a curve scan: a_p is None and verdicts, one Verdict per
+    admissible b, is empty when p is skipped."""
+
+    __slots__ = ()
 
 
 def essential_divisor_scan(

@@ -2,9 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +302,27 @@ class TestTheoremCommands:
         code, _, err = run(capsys, "corollary", "--index", str(INDEX_MAX + 1))
         assert code == 2 and "index must be <=" in err
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("argv, keys", [
+        (("supersingular", "--p", "7"),
+         ["orders", "num_primes_full", "irred_supply", "obstructed"]),
+        (("corollary", "--index", "1"),
+         ["prime", "exact_lhs", "irred_supply", "bound_prime"]),
+    ])
+    def test_json_keys_follow_the_result_fields(self, capsys, argv, keys):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == ["schema_version", "command", "inputs", *keys]
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # a CLI process pays for every module its import pulls in
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = ("import sys, divmono.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_exits_2(capsys):

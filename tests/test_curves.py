@@ -64,6 +64,17 @@ class TestInvariants:
         with pytest.raises(InputError):
             WeierstrassCurve(0, 0, 0, 0, 0)
 
+    def test_value_semantics(self):
+        # the benchmark's tracer counts distinct (curve, p) arguments
+        curve = WeierstrassCurve(1, 0, 0, 0, 3)
+        assert curve == daniels_t(3) and hash(curve) == hash(daniels_t(3))
+        assert curve != daniels_t(5)
+        assert len({(curve, 5), (daniels_t(3), 5)}) == 1
+        with pytest.raises(AttributeError):
+            curve.a6 = 5
+        with pytest.raises(AttributeError):
+            curve.disc = 1
+
     def test_discriminant_is_computed_once_per_curve(self, monkeypatch):
         # a scan reads disc twice at every good prime
         calls = []

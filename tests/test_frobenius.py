@@ -142,6 +142,13 @@ class TestDatumValidation:
         with pytest.raises(InputError):
             FrobeniusDatum(2, 0, 2)
 
+    def test_value_semantics(self):
+        d = FrobeniusDatum(7, 0, 2)
+        assert d == FrobeniusDatum(7, 0, 2) and hash(d) == hash(FrobeniusDatum(7, 0, 2))
+        assert d != FrobeniusDatum(7, 0, 1)
+        with pytest.raises(AttributeError):
+            d.b_p = 1
+
     def test_derived_fields(self):
         d = FrobeniusDatum(2, 1, 1)
         assert (d.delta_pi, d.delta_end, d.delta_parity) == (-7, -7, 1)
