@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
 
 from . import curves, frobenius, obstruction
 from .arith import irred_count_capped
@@ -61,13 +62,17 @@ def _verdict_row(v: Verdict) -> dict:
 
 
 def _emit(out, fmt: str, command: str, inputs: dict, fields: dict,
-          text_lines: list[str]):
-    """Write one command's (inputs, fields, text_lines) result. JSON is
-    {schema_version, command, inputs, **fields}; CSV writes the rows of
-    fields["verdicts"], which only the verdict commands accept."""
+          text_lines: Iterable[str]):
+    """Write one command's (inputs, fields, text_lines) result, the only
+    place where a Verdict becomes a row: CSV writes the rows of
+    fields["verdicts"], which only the verdict commands accept, and JSON is
+    {schema_version, command, inputs, **fields} with those rows in place."""
     if fmt == "text":
         out.write("\n".join(text_lines) + "\n")
-    elif fmt == "csv":
+        return
+    if "verdicts" in fields:
+        fields = {**fields, "verdicts": [_verdict_row(v) for v in fields["verdicts"]]}
+    if fmt == "csv":
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(fields["verdicts"])
@@ -110,22 +115,21 @@ def cmd_test(args):
     v = obstruction.test(datum, args.n, ImageAssumption(args.image))
     inputs = {"p": args.p, "a": args.a, "b": args.b, "n": args.n,
               "image": args.image}
-    row = _verdict_row(v)
     line = ("p={p} a_p={a_p} b_p={b_p} n={n}: {classification} "
             "(residue_degree={residue_degree} num_primes={num_primes} "
-            "irred_supply={irred_supply})").format(**row)
-    return inputs, {"verdicts": [row]}, [line]
+            "irred_supply={irred_supply})")
+    # lazy: _emit reads it only for text, so CSV and JSON build the row once
+    return inputs, {"verdicts": [v]}, (line.format_map(_verdict_row(v)) for v in [v])
 
 
 def cmd_table(args):
     reports = obstruction.full_table(args.p, args.n_max)
     inputs = {"p": args.p, "n_max": args.n_max}
-    rows = [_verdict_row(v) for r in reports for v in r.obstructed]
     lines = [f"p={args.p} n<={args.n_max} (* marks entries that vanish under an index-2 image)"]
     for r in reports:
         entries = ", ".join(_mark(v) for v in r.obstructed)
         lines.append(f"a_p={r.datum.a_p} b_p={r.datum.b_p}: {entries}")
-    return inputs, {"verdicts": rows}, lines
+    return inputs, {"verdicts": [v for r in reports for v in r.obstructed]}, lines
 
 
 COEFFICIENTS = ("a1", "a2", "a3", "a4", "a6")
@@ -162,19 +166,14 @@ def cmd_curve(args):
         raise InputError(f"the curve's discriminant has more than {digits} digits")
     reports = obstruction.essential_divisor_scan(curve, args.n, args.p_max)
     inputs = {"curve": list(curve.coeffs()), "n": args.n, "p_max": args.p_max}
-    rows = [_verdict_row(v) for r in reports for v in r.verdicts]
     lines = [f"curve a1..a6={list(curve.coeffs())} disc={curve.disc} "
              f"n={args.n} p_max={args.p_max}"]
     for r in reports:
-        if r.status is obstruction.CurvePrimeStatus.SKIPPED_DIVIDES_N:
-            lines.append(f"p={r.p}: skipped (divides n)")
-        elif r.status is obstruction.CurvePrimeStatus.SKIPPED_BAD_REDUCTION:
-            lines.append(f"p={r.p}: skipped (bad reduction)")
-        else:
-            per_b = " ".join(
-                f"[b={v.b_p}: {v.classification.value}]" for v in r.verdicts)
-            lines.append(f"p={r.p} a_p={r.a_p}: {r.status.value.upper()} {per_b}")
-    return inputs, {"verdicts": rows}, lines
+        a_p = "" if r.a_p is None else f" a_p={r.a_p}"
+        words = [r.status.value] + [f"[b={v.b_p}: {v.classification.value}]"
+                                    for v in r.verdicts]
+        lines.append(f"p={r.p}{a_p}: {' '.join(words)}")
+    return inputs, {"verdicts": [v for r in reports for v in r.verdicts]}, lines
 
 
 def cmd_supersingular(args):

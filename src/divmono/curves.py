@@ -30,6 +30,10 @@ class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6 disc")):
             raise InputError(f"singular curve: discriminant is 0 for {(a1, a2, a3, a4, a6)}")
         return super().__new__(cls, a1, a2, a3, a4, a6, disc)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace calls this: rebuild, so disc is recomputed
+        return cls(*tuple(iterable)[:5])
+
     def __getnewargs__(self):  # copy and pickle rebuild from the coefficients
         return self.coeffs()
 

@@ -46,6 +46,10 @@ class FrobeniusDatum(namedtuple("FrobeniusDatum", "p a_p b_p")):
             )
         return self
 
+    @classmethod
+    def _make(cls, iterable):  # _replace calls this: validate as __new__ does
+        return cls(*iterable)
+
     @property
     def delta_pi(self) -> int:
         return self.a_p * self.a_p - 4 * self.p
@@ -70,7 +74,9 @@ def enumerate_b(p: int, a_p: int) -> list[int]:
     counted with multiplicity; c then has a square divisor other than 1 only
     when c = q^2 for a prime q, that is when isqrt(c)^2 = c > 1.
     """
-    if not is_prime(p) or a_p * a_p > 4 * p:
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not prime")
+    if a_p * a_p > 4 * p:
         raise InputError(f"({p}, {a_p}) is not an admissible reduction datum")
     delta_pi = a_p * a_p - 4 * p
     c = -delta_pi

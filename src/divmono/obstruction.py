@@ -288,11 +288,13 @@ def corollary_threshold(index: int) -> CorollaryThreshold:
 
 
 class CurvePrimeStatus(enum.Enum):
-    CONFIRMED = "confirmed"  # every admissible b yields an obstruction
-    CONDITIONAL = "conditional"  # verdicts differ across b or need full image
-    NONE = "none"  # no admissible b yields an obstruction
-    SKIPPED_BAD_REDUCTION = "skipped_bad_reduction"
-    SKIPPED_DIVIDES_N = "skipped_divides_n"
+    """A prime's outcome in a curve scan; its value is the words printed."""
+
+    CONFIRMED = "CONFIRMED"  # every admissible b yields an obstruction
+    CONDITIONAL = "CONDITIONAL"  # verdicts differ across b or need full image
+    NONE = "NONE"  # no admissible b yields an obstruction
+    SKIPPED_BAD_REDUCTION = "skipped (bad reduction)"
+    SKIPPED_DIVIDES_N = "skipped (divides n)"
 
 
 class CurvePrimeReport(namedtuple("CurvePrimeReport", "p a_p status verdicts")):
@@ -319,15 +321,10 @@ def essential_divisor_scan(
     group_order = gl2_order(factors)
     reports = []
     for p in primes_up_to(p_max):
-        if n % p == 0:
-            reports.append(
-                CurvePrimeReport(p, None, CurvePrimeStatus.SKIPPED_DIVIDES_N, ())
-            )
-            continue
-        if not curve.has_good_reduction(p):
-            reports.append(
-                CurvePrimeReport(p, None, CurvePrimeStatus.SKIPPED_BAD_REDUCTION, ())
-            )
+        if n % p == 0 or not curve.has_good_reduction(p):
+            status = (CurvePrimeStatus.SKIPPED_DIVIDES_N if n % p == 0
+                      else CurvePrimeStatus.SKIPPED_BAD_REDUCTION)
+            reports.append(CurvePrimeReport(p, None, status, ()))
             continue
         a_p = trace_of_frobenius(curve, p)
         data = [FrobeniusDatum(p, a_p, b) for b in enumerate_b(p, a_p)]

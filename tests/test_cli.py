@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divmono import curves, gl2
+from divmono import cli, curves, gl2
 from divmono.cli import main
 from divmono.frobenius import enumerate_data
 from divmono.obstruction import INDEX_MAX, N_MAX, P_MAX, TABLE_N_MAX, TABLE_P_MAX
@@ -285,6 +285,11 @@ class TestTheoremCommands:
         assert code == 2
         assert "p > 3" in err
 
+    def test_supersingular_composite_p_says_not_prime(self, capsys):
+        # the same words as sigma, test and table
+        code, out, err = run(capsys, "supersingular", "--p", "9")
+        assert (code, out, err) == (2, "", "error: p = 9 is not prime\n")
+
     def test_supersingular_past_the_limit_exits_2(self, capsys):
         # the least prime with p + 1 > 10^14
         start = time.perf_counter()
@@ -313,6 +318,23 @@ class TestTheoremCommands:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert list(json.loads(out)) == ["schema_version", "command", "inputs", *keys]
+
+
+@pytest.mark.parametrize("argv, text_rows", [
+    (("table", "--p", "7", "--n-max", "200"), 0),
+    (("curve", "--family", "daniels", "--t", "3", "--n", "24", "--p-max", "60"), 0),
+    (("test", "--p", "2", "--a", "1", "--b", "1", "--n", "11"), 1),  # its text line
+])
+def test_verdict_rows_are_built_only_where_printed(capsys, monkeypatch, argv, text_rows):
+    # a row computes its supply, so text builds none beyond test's line,
+    # and CSV builds each of its rows once
+    calls, row = [], cli._verdict_row
+    monkeypatch.setattr(cli, "_verdict_row", lambda v: calls.append(v) or row(v))
+    assert run(capsys, *argv)[0] == 0 and len(calls) == text_rows
+    calls.clear()
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and len(calls) == len(rows)
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -74,6 +76,15 @@ class TestInvariants:
             curve.a6 = 5
         with pytest.raises(AttributeError):
             curve.disc = 1
+
+    def test_replace_rebuilds_the_curve(self):
+        # namedtuple's _replace would keep the old disc and skip __new__
+        with pytest.raises(InputError, match="singular curve"):
+            WeierstrassCurve(1, 0, 0, 0, 3)._replace(a6=0)
+        curve = WeierstrassCurve(1, 0, 0, 0, 3)._replace(a6=5)
+        assert curve == daniels_t(5) and curve.disc == daniels_t(5).disc
+        assert WeierstrassCurve._make(daniels_t(3)) == daniels_t(3)
+        assert copy.deepcopy(curve) == curve and pickle.loads(pickle.dumps(curve)) == curve
 
     def test_discriminant_is_computed_once_per_curve(self, monkeypatch):
         # a scan reads disc twice at every good prime

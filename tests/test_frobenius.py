@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -51,6 +53,10 @@ class TestEnumerateB:
     def test_rejects_inadmissible_trace(self):
         with pytest.raises(InputError):
             enumerate_b(2, 3)
+
+    def test_rejects_composite_in_the_words_of_the_datum(self):
+        with pytest.raises(InputError, match="^p = 9 is not prime$"):
+            enumerate_b(9, 0)
 
     @pytest.mark.parametrize("p", [p for p in primes_up_to(97) if p > 3])
     def test_supersingular_dichotomy(self, p):
@@ -148,6 +154,16 @@ class TestDatumValidation:
         assert d != FrobeniusDatum(7, 0, 1)
         with pytest.raises(AttributeError):
             d.b_p = 1
+
+    def test_replace_and_make_validate(self):
+        # namedtuple's _make, and _replace through it, would skip __new__
+        with pytest.raises(InputError, match="does not divide -7"):
+            FrobeniusDatum(2, 1, 1)._replace(b_p=5)
+        with pytest.raises(InputError, match="p = 4 is not prime"):
+            FrobeniusDatum._make((4, 0, 1))
+        assert FrobeniusDatum(7, 0, 2)._replace(b_p=1) == FrobeniusDatum(7, 0, 1)
+        d = FrobeniusDatum(7, 0, 2)
+        assert copy.copy(d) == d and pickle.loads(pickle.dumps(d)) == d
 
     def test_derived_fields(self):
         d = FrobeniusDatum(2, 1, 1)
