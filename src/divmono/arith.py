@@ -27,6 +27,8 @@ _MR_BASES = (
     (29, 3825123056546413051), (31, 3825123056546413051),
     (37, 318665857834031151167461), (41, 3317044064679887385961981),
 )
+_BASES = frozenset(a for a, _ in _MR_BASES)
+_BASE_PRODUCT = math.prod(_BASES)
 
 
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
@@ -56,12 +58,20 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin over as many of the first 13 prime bases
     as _MR_BASES says m needs. A composite m is always found out; an
     m >= psi_13 that passes all 13 bases raises InputError, since no base
-    set here proves it prime."""
+    set here proves it prime.
+
+    One gcd with the product of the bases settles every m < 43^2 = 1849.
+    Proof. If gcd(m, 2 * 3 * ... * 41) > 1, some base a divides m, and m is
+    prime only if m = a. Otherwise no prime <= 41 divides m. A composite m
+    has a prime factor <= sqrt(m), which is < 43 when m < 1849, so is <= 41;
+    hence such an m >= 2 is prime.
+    """
     if m < 2:
         return False
-    for a, _ in _MR_BASES:
-        if m % a == 0:
-            return m == a
+    if math.gcd(m, _BASE_PRODUCT) != 1:
+        return m in _BASES
+    if m < 1849:
+        return True
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2

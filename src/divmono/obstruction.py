@@ -42,9 +42,10 @@ N_MAX = 10**14
 # is_prime's psi_13 caps p far above this.
 INDEX_MAX = 10**22
 # Largest p_max that essential_divisor_scan() accepts. It counts points in
-# O(p) at every prime p <= p_max: 3.7 s at this limit, 13 s at 2 * 10^4. The
-# worst n, a safe prime just below N_MAX, takes 5-7 s at this limit: its
-# q - 1 is factorized once per process, and 2408 verdicts reduce mod q.
+# O(p) at every prime p <= p_max: about 1.2 s at this limit as a CLI call on a
+# 2-core machine, 4 s at 2 * 10^4. The worst n, a safe prime just below
+# N_MAX, takes about 3 s at this limit: its q - 1 is factorized once per
+# process, and 2408 verdicts reduce mod q.
 P_MAX = 10**4
 # Largest n_max that scan() accepts. A row factorizes gcds of size up to
 # about n_max^2 by trial division: the slowest table of any prime p < 400 at

@@ -33,6 +33,22 @@ def count_points_naive(curve, p):
     return count
 
 
+def count_points_by_root_table(curve, p):
+    """#E(F_p) by the two loops that count_points ran before its one-pass
+    count: a table of square-root counts mod p, then one lookup per x of
+    4 f(x) + (a1 x + a3)^2 with f(x) = x^3 + a2 x^2 + a4 x + a6; test oracle
+    for count_points at odd p."""
+    a1, a2, a3, a4, a6 = (a % p for a in curve.coeffs())
+    roots = bytearray(p)  # roots[r] = number of y in F_p with y^2 = r
+    for y in range(p):
+        roots[y * y % p] += 1
+    count = 1
+    for x in range(p):
+        h = a1 * x + a3
+        count += roots[(4 * (((x + a2) * x + a4) * x + a6) + h * h) % p]
+    return count
+
+
 def c4(curve):
     return invariants(*curve.coeffs())[0]
 
@@ -134,6 +150,18 @@ class TestPointCounting:
                 if curve.has_good_reduction(p):
                     assert count_points(curve, p) == count_points_naive(curve, p), (curve, p)
             checked += 1
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, -1, 1, -3, 5), (1, 0, 1, 4, -6), (-1, 1, -1, 0, 2), (3, -2, 5, 7, -11),
+        (1, 0, 0, 10**1400 + 7, 3),  # reduced mod p before the cubic is evaluated
+    ])
+    def test_matches_root_table_to_3000(self, coeffs):
+        curve = WeierstrassCurve(*coeffs)
+        good = [p for p in primes_up_to(3000) if curve.has_good_reduction(p)]
+        assert coeffs[3] > 10**1400 or 3 in good
+        for p in good:
+            oracle = count_points_naive if p == 2 else count_points_by_root_table
+            assert count_points(curve, p) == oracle(curve, p), (coeffs, p)
 
     def test_quadratic_character_oracle(self):
         # for y^2 = x^3 + Ax + B and odd p, #E = p + 1 + sum chi(x^3+Ax+B)
