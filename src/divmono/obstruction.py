@@ -24,8 +24,8 @@ from .gl2 import mul, order_mod
 
 
 class ImageAssumption(enum.Enum):
-    """Which Galois image the degree model assumes: a surjective mod-n
-    representation, or the index-2 worst case of a Serre curve."""
+    """Which Galois image test() assumes: a surjective mod-n representation
+    (the engine's), or the index-2 worst case of a Serre curve."""
 
     FULL_GL2 = "full"
     INDEX2_SUBGROUP = "index2"
@@ -91,56 +91,53 @@ def test(
     image: ImageAssumption = ImageAssumption.FULL_GL2,
 ) -> Verdict:
     """Compare the number of primes above p in the n-torsion field with
-    the count of irreducible polynomials of the matching degree.
+    the count of irreducible polynomials of the matching degree. n is
+    limited to N_MAX, because factorizing n is trial division.
 
     Under FULL_GL2 the classification is three-way: an entry obstructed
     under the full image but not under an index-2 image is flagged
-    OBSTRUCTION_ONLY_FULL_IMAGE (a "red" entry). Under INDEX2_SUBGROUP the
-    verdict is binary for that smaller degree. n is limited to N_MAX,
-    because factorizing n is trial division.
+    OBSTRUCTION_ONLY_FULL_IMAGE (a "red" entry). INDEX2_SUBGROUP reads a
+    binary verdict off the full one, whose prime count is c = |GL2|/ord.
+    As ord divides |GL2|, it divides |GL2|/2 iff c is even: for odd c no
+    index-2 subgroup contains this Frobenius class (InputError). For even
+    c, p splits into c/2 primes, and an obstruction needs I < c/2, which
+    is the full-image OBSTRUCTION; so a red entry reads NO_OBSTRUCTION.
     """
     _check_range("n", n, 2, N_MAX)
     if math.gcd(n, datum.p) != 1:
         raise InputError(f"n = {n} is not coprime to p = {datum.p}")
     factors = factorize(n)
-    return _compare(datum, n, order_mod(pi(datum), factors), gl2_order(factors), image)
+    group_order = gl2_order(factors)
+    v = _compare(datum, n, order_mod(pi(datum), factors), group_order)
+    if image is ImageAssumption.FULL_GL2:
+        return v
+    if v.num_primes % 2:
+        raise InputError(f"index-2 image assumption is inconsistent at n={n}: "
+                         f"order {v.residue_degree} does not divide {group_order // 2}")
+    cls = v.classification
+    if cls is Classification.OBSTRUCTION_ONLY_FULL_IMAGE:
+        cls = Classification.NO_OBSTRUCTION
+    return v._replace(num_primes=v.num_primes // 2, classification=cls)
 
 
-def _compare(datum: FrobeniusDatum, n: int, order: int, group_order: int,
-             image: ImageAssumption) -> Verdict:
-    """The verdict at n, given order = ord_n(pi) and group_order =
-    |GL2(Z/nZ)|: every verdict in the package is decided here."""
+def _compare(datum: FrobeniusDatum, n: int, order: int, group_order: int) -> Verdict:
+    """The full-image verdict at n, given order = ord_n(pi) and
+    group_order = |GL2(Z/nZ)|: every verdict in the package is decided
+    here, and test() reads the index-2 one off it."""
     if group_order % order != 0:
         raise ArithmeticBug(f"order {order} does not divide |GL2| for n={n}")
-    degree = group_order
-    if image is ImageAssumption.INDEX2_SUBGROUP:
-        degree //= 2
-        if degree % order != 0:
-            # no index-2 subgroup of GL2(Z/nZ) contains this Frobenius
-            # class, so the halved degree model is inconsistent here
-            raise InputError(
-                f"index-2 image assumption is inconsistent at n={n}: "
-                f"order {order} does not divide {degree}"
-            )
-
-    # With c = |GL2|/ord (ord divides |GL2|), min(I, c) < c iff I < c and
-    # min(I, c) < c/2 iff I < c/2: the capped supply decides both images.
-    supply = irred_count_capped(order, datum.p, group_order // order)
-    if 2 * supply * order < group_order:
+    num_primes = group_order // order
+    # With c = num_primes, min(I, c) < c iff I < c and min(I, c) < c/2 iff
+    # I < c/2: the supply capped at c decides all three classes.
+    supply = irred_count_capped(order, datum.p, num_primes)
+    if 2 * supply < num_primes:
         cls = Classification.OBSTRUCTION
-    elif image is ImageAssumption.FULL_GL2 and supply * order < group_order:
+    elif supply < num_primes:
         cls = Classification.OBSTRUCTION_ONLY_FULL_IMAGE
     else:
         cls = Classification.NO_OBSTRUCTION
-    return Verdict(
-        p=datum.p,
-        a_p=datum.a_p,
-        b_p=datum.b_p,
-        n=n,
-        residue_degree=order,
-        num_primes=degree // order,
-        classification=cls,
-    )
+    return Verdict(p=datum.p, a_p=datum.a_p, b_p=datum.b_p, n=n, residue_degree=order,
+                   num_primes=num_primes, classification=cls)
 
 
 class ScanReport(namedtuple("ScanReport", "datum obstructed")):
@@ -194,8 +191,7 @@ def scan(datum: FrobeniusDatum, n_max: int) -> ScanReport:
         f += 1
     hits = []
     for n in sorted(first_f):
-        verdict = _compare(datum, n, first_f[n], gl2_order(factorize(n)),
-                           ImageAssumption.FULL_GL2)
+        verdict = _compare(datum, n, first_f[n], gl2_order(factorize(n)))
         if verdict.classification is not Classification.NO_OBSTRUCTION:
             hits.append(verdict)
     return ScanReport(datum, tuple(hits))
@@ -233,8 +229,7 @@ def supersingular_check(p: int) -> SupersingularCheck:
     if p + 1 > N_MAX:  # test() would reject n = p + 1; say so in terms of p
         raise InputError(f"n = p + 1 must be <= {N_MAX}, got p = {p}")
     bs = enumerate_b(p, 0)  # rejects a composite p
-    v = _compare(FrobeniusDatum(p, 0, 1), p + 1, 2, gl2_order(factorize(p + 1)),
-                 ImageAssumption.FULL_GL2)
+    v = _compare(FrobeniusDatum(p, 0, 1), p + 1, 2, gl2_order(factorize(p + 1)))
     return SupersingularCheck(
         orders=(2,) * len(bs),
         num_primes_full=v.num_primes,
@@ -329,8 +324,7 @@ def essential_divisor_scan(
             continue
         a_p = trace_of_frobenius(curve, p)
         data = [FrobeniusDatum(p, a_p, b) for b in enumerate_b(p, a_p)]
-        verdicts = tuple(_compare(d, n, order_mod(pi(d), factors), group_order,
-                                  ImageAssumption.FULL_GL2) for d in data)
+        verdicts = tuple(_compare(d, n, order_mod(pi(d), factors), group_order) for d in data)
         classes = {v.classification for v in verdicts}
         if classes == {Classification.OBSTRUCTION}:
             status = CurvePrimeStatus.CONFIRMED

@@ -117,6 +117,14 @@ class TestTest:
         assert code == 2
         assert "coprime" in err
 
+    def test_inconsistent_index2_image_exits_2(self, capsys):
+        # |GL2(Z/2Z)| = 6 and pi has order 2 mod 2: an odd count of 3 primes
+        code, out, err = run(capsys, "test", "--p", "3", "--a", "0", "--b", "1",
+                             "--n", "2", "--image", "index2")
+        assert (code, out) == (2, "")
+        assert err == ("error: index-2 image assumption is inconsistent at n=2: "
+                       "order 2 does not divide 3\n")
+
     def test_n_past_the_limit_exits_2(self, capsys):
         # a prime n that trial division would never finish factorizing
         start = time.perf_counter()

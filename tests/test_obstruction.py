@@ -91,6 +91,24 @@ class TestVerdicts:
             v_half = verdict(FrobeniusDatum(2, 1, 1), n, INDEX2)
             assert gl2_order(factorize(n)) % v_full.residue_degree == 0
             assert v_full.num_primes == 2 * v_half.num_primes
+        # the index-2 verdict is the full one read off: InputError exactly when
+        # the full prime count is odd, else half the primes, red read as none
+        for p in (2, 3, 5, 7, 11):
+            for d in enumerate_data(p):
+                for n in range(2, 301):
+                    if n % p == 0:
+                        continue
+                    v_full = verdict(d, n, FULL)
+                    assert gl2_order(factorize(n)) % v_full.residue_degree == 0
+                    if v_full.num_primes % 2:
+                        with pytest.raises(InputError, match="index-2 image assumption"):
+                            verdict(d, n, INDEX2)
+                        continue
+                    red = v_full.classification is Classification.OBSTRUCTION_ONLY_FULL_IMAGE
+                    assert verdict(d, n, INDEX2) == v_full._replace(
+                        num_primes=v_full.num_primes // 2,
+                        classification=Classification.NO_OBSTRUCTION if red
+                        else v_full.classification)
 
     def test_index2_obstruction_implies_full(self):
         for p in (2, 3, 5):
