@@ -132,7 +132,7 @@ def cmd_table(args):
     return inputs, {"verdicts": [v for r in reports for v in r.obstructed]}, lines
 
 
-COEFFICIENTS = ("a1", "a2", "a3", "a4", "a6")
+COEFFICIENTS = curves.WeierstrassCurve._fields
 # every family's parameter names, each once, in registry order
 PARAMETERS = tuple(dict.fromkeys(n for _, names in curves.FAMILIES.values() for n in names))
 
@@ -140,33 +140,32 @@ PARAMETERS = tuple(dict.fromkeys(n for _, names in curves.FAMILIES.values() for 
 def _build_curve(args) -> curves.WeierstrassCurve:
     """The curve of --family and its parameters, or of --a1..--a6; a flag
     that the chosen way does not use is invalid input, not ignored."""
-    if args.family is not None:
+    if args.family is None:
+        ctor, names = curves.WeierstrassCurve, COEFFICIENTS
+        stray = "is used only with --family"
+        missing = "supply either --family or all of --a1..--a6"
+    else:
         ctor, names = curves.FAMILIES[args.family]
-        for name in COEFFICIENTS + PARAMETERS:
-            if name not in names and getattr(args, name) is not None:
-                raise InputError(f"--{name} is not used with --family {args.family}")
-        params = [getattr(args, name) for name in names]
-        if None in params:
-            flags = " and ".join(f"--{name}" for name in names)
-            raise InputError(f"family {args.family} requires {flags}")
-        return ctor(*params)
-    for name in PARAMETERS:
-        if getattr(args, name) is not None:
-            raise InputError(f"--{name} is used only with --family")
-    coeffs = [getattr(args, name) for name in COEFFICIENTS]
-    if None in coeffs:
-        raise InputError("supply either --family or all of --a1..--a6")
-    return curves.WeierstrassCurve(*coeffs)
+        stray = f"is not used with --family {args.family}"
+        flags = " and ".join(f"--{name}" for name in names)
+        missing = f"family {args.family} requires {flags}"
+    for name in COEFFICIENTS + PARAMETERS:
+        if name not in names and getattr(args, name) is not None:
+            raise InputError(f"--{name} {stray}")
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise InputError(missing)
+    return ctor(*values)
 
 
 def cmd_curve(args):
     curve = _build_curve(args)
-    digits = _max_digits()
-    if abs(curve.disc) >= 10**digits:
+    digits, disc = _max_digits(), curve.disc
+    if abs(disc) >= 10**digits:
         raise InputError(f"the curve's discriminant has more than {digits} digits")
     reports = obstruction.essential_divisor_scan(curve, args.n, args.p_max)
-    inputs = {"curve": list(curve.coeffs()), "n": args.n, "p_max": args.p_max}
-    lines = [f"curve a1..a6={list(curve.coeffs())} disc={curve.disc} "
+    inputs = {"curve": list(curve), "n": args.n, "p_max": args.p_max}
+    lines = [f"curve a1..a6={list(curve)} disc={disc} "
              f"n={args.n} p_max={args.p_max}"]
     for r in reports:
         a_p = "" if r.a_p is None else f" a_p={r.a_p}"

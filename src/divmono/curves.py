@@ -18,32 +18,30 @@ from .arith import is_prime
 from .errors import InputError
 
 
-class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6 disc")):
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer
-    coefficients and nonzero discriminant. Built from the five
-    coefficients; the discriminant disc is computed once, at construction,
-    because a scan reads it at every prime."""
+    coefficients and nonzero discriminant. The five coefficients are the
+    whole curve: disc is computed from them where it is read, and the
+    curve mod p from their residues."""
 
     __slots__ = ()
 
     def __new__(cls, a1: int, a2: int, a3: int, a4: int, a6: int):
-        disc = invariants(a1, a2, a3, a4, a6)[1]
-        if disc == 0:
+        if invariants(a1, a2, a3, a4, a6)[1] == 0:
             raise InputError(f"singular curve: discriminant is 0 for {(a1, a2, a3, a4, a6)}")
-        return super().__new__(cls, a1, a2, a3, a4, a6, disc)
+        return super().__new__(cls, a1, a2, a3, a4, a6)
 
     @classmethod
-    def _make(cls, iterable):  # _replace calls this: rebuild, so disc is recomputed
-        return cls(*tuple(iterable)[:5])
+    def _make(cls, iterable):  # _replace calls this: rebuild through __new__'s check
+        return cls(*iterable)
 
-    def __getnewargs__(self):  # copy and pickle rebuild from the coefficients
-        return self.coeffs()
-
-    def coeffs(self) -> tuple[int, int, int, int, int]:
-        return self[:5]
+    @property
+    def disc(self) -> int:
+        return invariants(*self)[1]
 
     def has_good_reduction(self, p: int) -> bool:
-        return self.disc % p != 0
+        """p does not divide disc, read off the coefficients reduced mod p."""
+        return invariants(*(a % p for a in self))[1] % p != 0
 
 
 def _b_invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple[int, int, int]:
@@ -76,13 +74,14 @@ def count_points(curve: WeierstrassCurve, p: int) -> int:
     """
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
-    if not curve.has_good_reduction(p):
-        raise InputError(f"bad reduction at {p}: discriminant {curve.disc} is 0 mod {p}")
+    residues = [a % p for a in curve]
+    if invariants(*residues)[1] % p == 0:
+        raise InputError(f"bad reduction at {p}: the discriminant is 0 mod {p}")
     if p == 2:
-        a1, a2, a3, a4, a6 = (a % 2 for a in curve.coeffs())
+        a1, a2, a3, a4, a6 = residues
         return 1 + sum((y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x
                         - a4 * x - a6) % 2 == 0 for x in (0, 1) for y in (0, 1))
-    b2, b4, b6 = (b % p for b in _b_invariants(*curve.coeffs()))
+    b2, b4, b6 = (b % p for b in _b_invariants(*residues))
     squares = {y * y % p for y in range(1, (p + 1) // 2)}
     second = accumulate(repeat(24, p - 3), initial=24 + 2 * b2)
     first = accumulate(second, initial=4 + b2 + 2 * b4)

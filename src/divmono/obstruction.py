@@ -315,9 +315,10 @@ def essential_divisor_scan(
     _check_range("p_max", p_max, 2, P_MAX)
     factors = factorize(n)
     group_order = gl2_order(factors)
+    disc = curve.disc
     reports = []
     for p in primes_up_to(p_max):
-        if n % p == 0 or not curve.has_good_reduction(p):
+        if n % p == 0 or disc % p == 0:
             status = (CurvePrimeStatus.SKIPPED_DIVIDES_N if n % p == 0
                       else CurvePrimeStatus.SKIPPED_BAD_REDUCTION)
             reports.append(CurvePrimeReport(p, None, status, ()))

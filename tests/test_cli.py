@@ -239,6 +239,9 @@ class TestCurve:
         (["--family", "uv", "--u", "1", "--v", "2", "--s", "4"], "--s"),
         (["--a1", "0", "--a2", "0", "--a3", "0", "--a4", "0", "--a6", "1", "--t", "7"],
          "--t"),
+        # a stray flag is named before a missing one
+        (["--a1", "0", "--t", "7"], "--t"),
+        (["--family", "uv", "--u", "1", "--a1", "5"], "--a1"),
     ])
     def test_stray_flag_exits_2(self, capsys, argv, flag):
         # a coefficient with --family, another family's parameter, or a
